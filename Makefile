@@ -48,9 +48,9 @@ test:
 race:
 	$(GO) test -race ./...
 
-# A one-iteration pass over the lattice-engine and compiled-simulator
-# benchmarks: catches benchmark-code rot without paying for stable
-# measurements.
+# A one-iteration pass over the lattice-engine, compiled-simulator,
+# streaming, trace-parsing and learner benchmarks: catches benchmark-code
+# rot without paying for stable measurements.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkLinkCovers|BenchmarkLatticeQueries|BenchmarkLatticeBig|BenchmarkBitset|BenchmarkArena|BenchmarkIncremental|BenchmarkParallel|BenchmarkSortInts' \
 	    -benchtime 1x ./internal/concept ./internal/bitset
@@ -58,6 +58,8 @@ bench-smoke:
 	    -benchtime 1x ./internal/fa ./internal/concept
 	$(GO) test -run '^$$' -bench 'BenchmarkFeed|BenchmarkManyStreams|BenchmarkIngest|BenchmarkStreamPump' \
 	    -benchtime 1x ./internal/stream ./internal/server
+	$(GO) test -run '^$$' -bench 'BenchmarkRead|BenchmarkLearn' \
+	    -benchtime 1x ./internal/trace ./internal/learn
 
 # Run cmd/paper with -metrics and assert the snapshot attributes time to
 # the pipeline phases (a span line for lattice.build must be present).
@@ -66,11 +68,13 @@ obs-smoke:
 	    | grep -q '^span    lattice.build '
 
 # Short fuzz passes over the three text-format round-trip properties
-# (traces, automata, Burmeister contexts) and the two semantic-engine
-# differential properties (determinization vs. the NFA, complement and
-# self-inclusion vs. the bounded oracle).
+# (traces, automata, Burmeister contexts), the trace reader against its
+# plain reference parser, and the two semantic-engine differential
+# properties (determinization vs. the NFA, complement and self-inclusion
+# vs. the bounded oracle).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceRoundTrip$$' -fuzztime 10s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzReadMatchesReference$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzFAIO$$' -fuzztime 5s ./internal/fa
 	$(GO) test -run '^$$' -fuzz '^FuzzConceptIO$$' -fuzztime 5s ./internal/concept
 	$(GO) test -run '^$$' -fuzz '^FuzzDeterminize$$' -fuzztime 5s ./internal/fa/lang

@@ -30,6 +30,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"sync"
 	"syscall"
 	"time"
 
@@ -75,6 +76,14 @@ func run(addr string, cfg server.Config, shutdownTimeout time.Duration) error {
 	rootCtx, cancelRoot := context.WithCancel(context.Background())
 	defer cancelRoot()
 
+	// Catch signals before anything else: a SIGINT/SIGTERM that arrives
+	// during snapshot replay or right after the listen announcement waits
+	// in the channel for the drain below instead of killing the process
+	// without a clean stop or a snapshot save.
+	sigs := make(chan os.Signal, 1)
+	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigs)
+
 	svc := server.New(cfg)
 	if cfg.SnapshotDir != "" {
 		n, err := svc.LoadSnapshots(rootCtx)
@@ -87,11 +96,13 @@ func run(addr string, cfg server.Config, shutdownTimeout time.Duration) error {
 	}
 	go svc.Janitor(rootCtx, 0)
 
+	fresh := &freshConns{conns: map[net.Conn]bool{}}
 	httpSrv := &http.Server{
 		Addr:        addr,
 		Handler:     svc.Handler(),
 		BaseContext: func(net.Listener) context.Context { return rootCtx },
 		ReadTimeout: 2 * time.Minute,
+		ConnState:   fresh.track,
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -99,8 +110,6 @@ func run(addr string, cfg server.Config, shutdownTimeout time.Duration) error {
 	}
 	fmt.Fprintf(os.Stderr, "cabled: listening on %s\n", ln.Addr())
 
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()
 
@@ -112,6 +121,7 @@ func run(addr string, cfg server.Config, shutdownTimeout time.Duration) error {
 	}
 	// Cancel builds first so drained handlers return quickly, then drain.
 	cancelRoot()
+	fresh.closeAll()
 	ctx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
 	defer cancel()
 	if err := httpSrv.Shutdown(ctx); err != nil {
@@ -131,4 +141,43 @@ func run(addr string, cfg server.Config, shutdownTimeout time.Duration) error {
 	}
 	fmt.Fprintln(os.Stderr, "cabled: stopped")
 	return nil
+}
+
+// freshConns tracks the connections that have not yet delivered a request.
+// http.Server.Shutdown treats such a connection as busy for its first five
+// seconds, so a spare connection a client dialed and never used would hold
+// the drain that long — past a short -shutdown-timeout. Once the drain
+// begins, closeAll closes them and track closes any accepted later: a
+// request that has not arrived by then is refused, like one dialed after
+// the listener closed.
+type freshConns struct {
+	mu       sync.Mutex
+	conns    map[net.Conn]bool
+	draining bool
+}
+
+// track is the server's ConnState hook.
+func (f *freshConns) track(c net.Conn, st http.ConnState) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	switch {
+	case st != http.StateNew:
+		delete(f.conns, c)
+	case f.draining:
+		c.Close()
+	default:
+		f.conns[c] = true
+	}
+}
+
+// closeAll closes every connection still waiting for its first request and
+// makes track close new ones from now on.
+func (f *freshConns) closeAll() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.draining = true
+	for c := range f.conns {
+		c.Close()
+	}
+	clear(f.conns)
 }

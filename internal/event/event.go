@@ -34,7 +34,13 @@ type Event struct {
 	// Def is the variable bound to the operation's result, or "" when the
 	// result is unused or the operation returns nothing.
 	Def string
-	// Uses lists the variables passed as arguments, in call order.
+	// Uses lists the variables passed as arguments, in call order. It is
+	// read-only: events are copied by value and share this slice — for
+	// example, trace.Read parses each distinct event line once, so equal
+	// events across the traces of a Set share one Uses array. Code that
+	// derives an event with different arguments (Rename, Concrete.Abstract)
+	// writes them to a fresh slice; never assign to or append to Uses of an
+	// event you did not build.
 	Uses []string
 }
 

@@ -89,8 +89,8 @@ func (p *pta) ktailSignature(s int, k int) string {
 		if depth == k {
 			return
 		}
-		for _, key := range sortedKeys(n.out) {
-			walk(n.out[key].to, depth+1, prefix+key+"\x00")
+		for _, e := range n.edges() {
+			walk(e.to, depth+1, prefix+e.key+"\x00")
 		}
 	}
 	walk(s, 0, "")

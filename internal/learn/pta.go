@@ -13,7 +13,8 @@ package learn
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/event"
 	"repro/internal/fa"
@@ -26,19 +27,34 @@ import (
 type pta struct {
 	uf    []int
 	nodes []*mnode
+	// clock counts merge calls. stamp[c] is the clock of the last merge
+	// that changed class c — as the surviving representative (its ending
+	// count, edges or edge counts grew) or as the absorbed one (it stopped
+	// being a representative). A value derived from classes whose stamps
+	// are all at most clock t is unchanged by everything merged after t;
+	// the sk-strings scan relies on this to reuse k-string distributions.
+	clock int
+	stamp []int
 }
 
 type mnode struct {
 	// out maps a label rendering to the outgoing edge for that label. After
 	// folding, each class has at most one edge per label.
 	out map[string]*medge
+	// sorted caches the edges of out in key order; nil until edges
+	// computes it, and reset whenever merge adds or drops a key.
+	sorted []*medge
 	// end counts traces ending at this state.
 	end int
-	// through counts traces passing through or ending at this state.
+	// through counts traces passing through or ending at this state. Every
+	// such trace either ends here or leaves along one edge, so through is
+	// end plus the edges' counts — the state's total outgoing weight. Both
+	// sides add up when classes merge, so the identity holds for classes.
 	through int
 }
 
 type medge struct {
+	key   string // label rendering, the edge's key in out
 	label event.Event
 	to    int
 	count int
@@ -49,16 +65,20 @@ type medge struct {
 func buildPTA(traces []trace.Trace) *pta {
 	p := &pta{}
 	root := p.newNode()
+	// One rendering buffer for every event: edge lookups index the map
+	// with string(key), which does not allocate; only a new edge's key is
+	// copied into the map.
+	var key []byte
 	for _, t := range traces {
 		cur := root
 		p.nodes[cur].through++
 		for _, e := range t.Events {
-			key := e.String()
-			edge, ok := p.nodes[cur].out[key]
+			key = e.AppendString(key[:0])
+			edge, ok := p.nodes[cur].out[string(key)]
 			if !ok {
 				next := p.newNode()
-				edge = &medge{label: e, to: next}
-				p.nodes[cur].out[key] = edge
+				edge = &medge{key: string(key), label: e, to: next}
+				p.nodes[cur].out[edge.key] = edge
 			}
 			edge.count++
 			cur = edge.to
@@ -73,6 +93,7 @@ func (p *pta) newNode() int {
 	id := len(p.nodes)
 	p.nodes = append(p.nodes, &mnode{out: map[string]*medge{}})
 	p.uf = append(p.uf, id)
+	p.stamp = append(p.stamp, 0)
 	return id
 }
 
@@ -96,6 +117,8 @@ func (p *pta) merge(a, b int) {
 		a, b = b, a
 	}
 	p.uf[b] = a
+	p.clock++
+	p.stamp[a], p.stamp[b] = p.clock, p.clock
 	na, nb := p.nodes[a], p.nodes[b]
 	na.end += nb.end
 	na.through += nb.through
@@ -107,23 +130,25 @@ func (p *pta) merge(a, b int) {
 			// into an earlier class.
 			a = p.find(a)
 			na = p.nodes[a]
+			p.stamp[a] = p.clock
 		} else {
 			na.out[key] = eb
+			na.sorted = nil
 		}
 	}
-	nb.out = nil
+	nb.out, nb.sorted = nil, nil
 }
 
 // states returns the live class representatives in BFS order from the root
 // class, following edges with labels in sorted order.
 func (p *pta) states() []int {
 	root := p.find(0)
-	seen := map[int]bool{root: true}
+	seen := make([]bool, len(p.nodes))
+	seen[root] = true
 	order := []int{root}
 	for i := 0; i < len(order); i++ {
-		s := order[i]
-		for _, key := range sortedKeys(p.nodes[s].out) {
-			to := p.find(p.nodes[s].out[key].to)
+		for _, e := range p.nodes[order[i]].edges() {
+			to := p.find(e.to)
 			if !seen[to] {
 				seen[to] = true
 				order = append(order, to)
@@ -133,25 +158,17 @@ func (p *pta) states() []int {
 	return order
 }
 
-func sortedKeys(m map[string]*medge) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// edges returns the node's outgoing edges in key order. The slice is
+// cached until a merge changes the key set; callers must not modify it.
+func (n *mnode) edges() []*medge {
+	if n.sorted == nil && len(n.out) > 0 {
+		n.sorted = make([]*medge, 0, len(n.out))
+		for _, e := range n.out {
+			n.sorted = append(n.sorted, e)
+		}
+		slices.SortFunc(n.sorted, func(a, b *medge) int { return strings.Compare(a.key, b.key) })
 	}
-	sort.Strings(keys)
-	return keys
-}
-
-// outTotal returns the total outgoing weight of a class: edge counts plus
-// the end count (ending is one of the "next moves" of the stochastic
-// automaton).
-func (p *pta) outTotal(s int) int {
-	n := p.nodes[s]
-	total := n.end
-	for _, e := range n.out {
-		total += e.count
-	}
-	return total
+	return n.sorted
 }
 
 // Result is a learned automaton together with the transition and acceptance
@@ -183,9 +200,7 @@ func (p *pta) freeze(name string) (*Result, error) {
 		}
 	}
 	for _, s := range order {
-		n := p.nodes[s]
-		for _, key := range sortedKeys(n.out) {
-			e := n.out[key]
+		for _, e := range p.nodes[s].edges() {
 			b.Edge(number[s], e.label, number[p.find(e.to)])
 			res.TransCount = append(res.TransCount, e.count)
 		}

@@ -1,7 +1,8 @@
 package learn
 
 import (
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/trace"
 )
@@ -63,9 +64,10 @@ func (l Learner) Learn(name string, traces []trace.Trace) (*Result, error) {
 		l.S = DefaultLearner.S
 	}
 	p := buildPTA(traces)
+	m := newMerger(l, p)
 	merges := 0
 	for {
-		a, b := l.findMergeable(p)
+		a, b := m.findMergeable()
 		if a < 0 {
 			break
 		}
@@ -78,17 +80,74 @@ func (l Learner) Learn(name string, traces []trace.Trace) (*Result, error) {
 	return p.freeze(name)
 }
 
+// merger runs the sk-strings scans over one PTA under one Learner.
+//
+// It memoizes each class's k-string distribution, key set and top prefix
+// across scans. A memo entry records the classes its k-walk visited and the
+// PTA clock when it was computed; it stays valid while none of those
+// classes carries a later stamp (see pta.stamp). A merge changes exactly the
+// classes it stamps, and the walk reads nothing but the classes it visits,
+// so a reused entry is the distribution a fresh walk would compute, and
+// every scan returns the same pair as the unmemoized one.
+type merger struct {
+	l     Learner
+	p     *pta
+	memo  []kmemo // indexed by class representative
+	dists []*kmemo
+}
+
+type kmemo struct {
+	valid   bool
+	at      int       // p.clock when computed
+	visited []int     // classes the k-walk read
+	strs    []kstring // by probability descending, ties by key
+	keys    []string  // the keys of strs, sorted
+	top     []kstring // top(strs, S)
+}
+
+func newMerger(l Learner, p *pta) *merger {
+	return &merger{l: l, p: p, memo: make([]kmemo, len(p.nodes))}
+}
+
+// distribution returns class s's memoized k-strings, recomputing them if a
+// merge since the last computation changed a class the walk visited.
+func (m *merger) distribution(s int) *kmemo {
+	e := &m.memo[s]
+	if e.valid && m.p.unchangedSince(e.visited, e.at) {
+		return e
+	}
+	strs, visited := m.p.kstrings(s, m.l.K, e.strs[:0], e.visited[:0])
+	e.keys = e.keys[:0]
+	for _, ks := range strs {
+		e.keys = append(e.keys, ks.key)
+	}
+	// Most probable first, ties by key: the order top cuts from.
+	slices.SortFunc(strs, func(a, b kstring) int {
+		if a.prob != b.prob {
+			if a.prob > b.prob {
+				return -1
+			}
+			return 1
+		}
+		return strings.Compare(a.key, b.key)
+	})
+	e.strs, e.visited, e.at = strs, visited, m.p.clock
+	e.top = top(strs, m.l.S)
+	e.valid = true
+	return e
+}
+
 // findMergeable scans state pairs in BFS order and returns the first pair
 // satisfying the agreement criterion, or (-1, -1).
-func (l Learner) findMergeable(p *pta) (int, int) {
-	order := p.states()
-	strs := make(map[int][]kstring, len(order))
+func (m *merger) findMergeable() (int, int) {
+	order := m.p.states()
+	m.dists = m.dists[:0]
 	for _, s := range order {
-		strs[s] = p.kstrings(s, l.K)
+		m.dists = append(m.dists, m.distribution(s))
 	}
 	for i := 0; i < len(order); i++ {
 		for j := i + 1; j < len(order); j++ {
-			if l.agree(strs[order[i]], strs[order[j]]) {
+			if m.l.agree(m.dists[i], m.dists[j]) {
 				return order[i], order[j]
 			}
 		}
@@ -96,58 +155,68 @@ func (l Learner) findMergeable(p *pta) (int, int) {
 	return -1, -1
 }
 
+// unchangedSince reports whether no class in cs was stamped after clock t.
+func (p *pta) unchangedSince(cs []int, t int) bool {
+	for _, c := range cs {
+		if p.stamp[c] > t {
+			return false
+		}
+	}
+	return true
+}
+
 // kstrings enumerates the strings of length ≤ k leaving state s with their
-// probabilities, sorted by probability descending (ties by key for
-// determinism). Strings of length < k end with the end marker; strings cut
-// off at length k do not.
-func (p *pta) kstrings(s int, k int) []kstring {
-	var out []kstring
-	var walk func(state int, depth int, prefix string, prob float64)
-	walk = func(state int, depth int, prefix string, prob float64) {
+// probabilities, sorted by key, into out. Strings of length < k end with
+// the end marker; strings cut off at length k do not. It also appends to
+// visited every class the walk read, and returns both extended slices.
+func (p *pta) kstrings(s int, k int, out []kstring, visited []int) ([]kstring, []int) {
+	var prefix []byte
+	var walk func(state int, depth int, prob float64)
+	walk = func(state int, depth int, prob float64) {
 		state = p.find(state)
-		total := p.outTotal(state)
+		visited = append(visited, state)
+		n := p.nodes[state]
+		total := n.through
 		if total == 0 {
 			// Dead state with no endings: contributes nothing.
 			return
 		}
-		n := p.nodes[state]
 		if n.end > 0 {
-			out = append(out, kstring{key: prefix + endMark, prob: prob * float64(n.end) / float64(total)})
+			out = append(out, kstring{key: string(prefix) + endMark, prob: prob * float64(n.end) / float64(total)})
 		}
 		if depth == k {
 			if len(n.out) > 0 {
 				// Remaining mass for strings truncated at depth k.
 				edgeMass := float64(total-n.end) / float64(total)
-				if prefix != "" {
-					out = append(out, kstring{key: prefix, prob: prob * edgeMass})
+				if len(prefix) > 0 {
+					out = append(out, kstring{key: string(prefix), prob: prob * edgeMass})
 				}
 			}
 			return
 		}
-		for _, key := range sortedKeys(n.out) {
-			e := n.out[key]
-			walk(e.to, depth+1, prefix+key+"\x00", prob*float64(e.count)/float64(total))
+		mark := len(prefix)
+		for _, e := range n.edges() {
+			prefix = append(append(prefix, e.key...), 0)
+			walk(e.to, depth+1, prob*float64(e.count)/float64(total))
+			prefix = prefix[:mark]
 		}
 	}
-	walk(s, 0, "", 1)
+	walk(s, 0, 1)
 	// Aggregate duplicates (merging can create repeated keys via different
 	// paths of equal rendering — not possible in a deterministic automaton,
-	// but keep the invariant robust).
-	agg := map[string]float64{}
+	// but keep the invariant robust). The stable sort keeps equal keys in
+	// walk order, so each sum adds the same terms in the same order as
+	// accumulating per key during the walk would.
+	slices.SortStableFunc(out, func(a, b kstring) int { return strings.Compare(a.key, b.key) })
+	res := out[:0]
 	for _, ks := range out {
-		agg[ks.key] += ks.prob
-	}
-	res := make([]kstring, 0, len(agg))
-	for key, prob := range agg {
-		res = append(res, kstring{key: key, prob: prob})
-	}
-	sort.Slice(res, func(i, j int) bool {
-		if res[i].prob != res[j].prob {
-			return res[i].prob > res[j].prob
+		if n := len(res); n > 0 && res[n-1].key == ks.key {
+			res[n-1].prob += ks.prob
+			continue
 		}
-		return res[i].key < res[j].key
-	})
-	return res
+		res = append(res, ks)
+	}
+	return res, visited
 }
 
 // top returns the prefix of strs covering at least fraction s of the
@@ -169,35 +238,23 @@ func top(strs []kstring, s float64) []kstring {
 
 // agree applies the agreement criterion to two states' k-string
 // distributions.
-func (l Learner) agree(a, b []kstring) bool {
-	if len(a) == 0 || len(b) == 0 {
+func (l Learner) agree(a, b *kmemo) bool {
+	if len(a.strs) == 0 || len(b.strs) == 0 {
 		// A state with no k-strings (dead) agrees with nothing; merging it
 		// anywhere would be unconstrained generalization.
 		return false
 	}
-	inB := keySet(b)
-	inA := keySet(a)
-	aTop := top(a, l.S)
-	bTop := top(b, l.S)
-	aInB := covered(aTop, inB)
-	bInA := covered(bTop, inA)
+	aInB := covered(a.top, b.keys)
 	if l.Agreement == Or {
-		return aInB || bInA
+		return aInB || covered(b.top, a.keys)
 	}
-	return aInB && bInA
+	return aInB && covered(b.top, a.keys)
 }
 
-func keySet(strs []kstring) map[string]bool {
-	m := make(map[string]bool, len(strs))
-	for _, ks := range strs {
-		m[ks.key] = true
-	}
-	return m
-}
-
-func covered(topStrs []kstring, in map[string]bool) bool {
+// covered reports whether every string of topStrs is among keys (sorted).
+func covered(topStrs []kstring, keys []string) bool {
 	for _, ks := range topStrs {
-		if !in[ks.key] {
+		if _, ok := slices.BinarySearch(keys, ks.key); !ok {
 			return false
 		}
 	}

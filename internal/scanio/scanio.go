@@ -21,16 +21,25 @@ import (
 // memory for adversarial inputs.
 const MaxLineBytes = 4 << 20
 
-// initialBufBytes is the scanner's starting buffer; it grows on demand
-// up to MaxLineBytes, so short-line files never pay for the cap.
+// initialBufBytes is the scanner's largest starting buffer; it grows on
+// demand up to MaxLineBytes, so short-line files never pay for the cap.
 const initialBufBytes = 64 * 1024
 
 // NewScanner returns a line scanner over r configured with the shared
 // buffer policy. Callers should report scanner failures via LineError
 // so oversized lines are diagnosed consistently.
+//
+// When r reports its unread length (strings.Reader, bytes.Reader,
+// bytes.Buffer), a shorter input gets a starting buffer of that length
+// plus one byte: room for the whole input and for the read that sees EOF,
+// so the buffer never grows.
 func NewScanner(r io.Reader) *bufio.Scanner {
+	size := initialBufBytes
+	if lr, ok := r.(interface{ Len() int }); ok && lr.Len() < size {
+		size = lr.Len() + 1
+	}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, initialBufBytes), MaxLineBytes)
+	sc.Buffer(make([]byte, 0, size), MaxLineBytes)
 	return sc
 }
 

@@ -3,6 +3,7 @@ package scanio
 import (
 	"bufio"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -55,5 +56,48 @@ func TestLineErrorGeneric(t *testing.T) {
 	}
 	if !errors.Is(got, cause) {
 		t.Error("cause not wrapped")
+	}
+}
+
+// TestScannerSizedFromLen checks the length-sized starting buffer: inputs
+// shorter than the default buffer, with and without a final newline, scan
+// to the same lines, and the buffer never grows — a whole scan costs the
+// scanner and one buffer of the input's length plus one byte.
+func TestScannerSizedFromLen(t *testing.T) {
+	for _, text := range []string{
+		"",
+		"a",
+		"a\n",
+		"line one\nline two",
+		"line one\nline two\n",
+		strings.Repeat("x", 5000) + "\n" + strings.Repeat("y", 70000),
+	} {
+		want := strings.Split(strings.TrimSuffix(text, "\n"), "\n")
+		if text == "" {
+			want = nil
+		}
+		var got []string
+		sc := NewScanner(strings.NewReader(text))
+		for sc.Scan() {
+			got = append(got, sc.Text())
+		}
+		if sc.Err() != nil || strings.Join(got, "|") != strings.Join(want, "|") || len(got) != len(want) {
+			t.Errorf("%d-byte input: got %d lines (err %v), want %d", len(text), len(got), sc.Err(), len(want))
+		}
+	}
+	text := strings.Repeat("an event line\n", 100)
+	var bytesPerScan uint64
+	allocs := testing.AllocsPerRun(10, func() {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		sc := NewScanner(strings.NewReader(text))
+		for sc.Scan() {
+		}
+		runtime.ReadMemStats(&after)
+		bytesPerScan = after.TotalAlloc - before.TotalAlloc
+	})
+	if allocs > 3 || bytesPerScan > uint64(len(text))+1024 {
+		t.Errorf("scanning %d bytes allocated %v times, %d bytes; want the scanner and one input-sized buffer",
+			len(text), allocs, bytesPerScan)
 	}
 }

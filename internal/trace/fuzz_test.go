@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -87,6 +88,60 @@ func FuzzRead(f *testing.F) {
 		if again.Total() != set.Total() || again.NumClasses() != set.NumClasses() {
 			t.Fatalf("round trip changed shape: %d/%d -> %d/%d",
 				set.Total(), set.NumClasses(), again.Total(), again.NumClasses())
+		}
+	})
+}
+
+// FuzzReadMatchesReference checks Read against refRead, the plain parser
+// it replaced (io_ref_test.go): on every input both must accept or reject
+// alike, with the same error text (line numbers included), and accepted
+// inputs must yield the same classes in the same order — representatives
+// (events and ID), IDs, counts, totals and class keys.
+func FuzzReadMatchesReference(f *testing.F) {
+	for _, seed := range []string{
+		"trace a\n  f()\nend\n",
+		"trace\nend\n",
+		"trace a\n  X = fopen()\n  fclose(X)\nend\ntrace b\n  X = fopen()\n  fclose(X)\nend\ntrace c\n  X = fopen()\nend\n",
+		"trace a\n  f( X ,Y )\n  f(X, Y)\nend\ntrace b\n  f(X,Y)\n  f(X, Y)\nend\n",
+		"# comment\n\ntrace x\n  g()\nend\n",
+		"trace a b\nend\n",
+		"trace\ta\nend\n",
+		"trace  a  \nend\n",
+		"trace a\ntrace b\nend\n",
+		"end\n",
+		"  f()\n",
+		"trace a\n  not an event\nend\n",
+		"trace a\n  f()\n",
+		"trace a\n  f()\n  = g()\nend\n",
+		"trace a\nend\ntrace a\nend\ntrace\nend\n",
+		"trace a\u00a0b\nend\n",
+		"trace \xffa\n  f()\nend\n\u2028trace b\n\u00a0 f() \nend\n",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, gotErr := Read(strings.NewReader(s))
+		want, wantErr := refRead(strings.NewReader(s))
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("Read error %v, reference error %v", gotErr, wantErr)
+		}
+		if gotErr != nil {
+			if gotErr.Error() != wantErr.Error() {
+				t.Fatalf("Read error %q, reference error %q", gotErr, wantErr)
+			}
+			return
+		}
+		if got.Total() != want.Total() || got.NumClasses() != want.NumClasses() {
+			t.Fatalf("Read shape %d/%d, reference %d/%d",
+				got.Total(), got.NumClasses(), want.Total(), want.NumClasses())
+		}
+		if !reflect.DeepEqual(got.Classes(), want.Classes()) {
+			t.Fatalf("Read classes %#v, reference %#v", got.Classes(), want.Classes())
+		}
+		for i, c := range want.Classes() {
+			if got.ClassOfKey(c.Rep.Key()) != i {
+				t.Fatalf("class %d key %q indexed at %d", i, c.Rep.Key(), got.ClassOfKey(c.Rep.Key()))
+			}
 		}
 	})
 }

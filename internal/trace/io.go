@@ -2,9 +2,11 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strings"
+	"unicode"
 
 	"repro/internal/event"
 	"repro/internal/obs"
@@ -56,58 +58,74 @@ func WriteTrace(w io.Writer, t Trace) error {
 }
 
 // Read parses a trace file into a Set.
+//
+// Read parses each distinct event line once: later occurrences of the same
+// (trimmed) line reuse the parsed event, so events of one Set share their
+// Uses slices (see event.Event). It builds each record's class key while it
+// reads the record's events, into a buffer reused across records, and
+// copies the record's events out of a reused buffer only when the record
+// opens a new class; a duplicate record costs its ID.
 func Read(r io.Reader) (*Set, error) {
 	sp := obs.StartSpan("trace.read")
 	defer sp.End()
 	s := &Set{}
 	sc := scanio.NewScanner(r)
 	var (
-		cur    *Trace
+		parsed = map[string]event.Event{} // trimmed event line -> event
+		open   bool                       // inside a trace record
+		id     string                     // the open record's ID
+		evs    []event.Event              // the open record's events
+		key    []byte                     // the open record's Trace.AppendKey bytes
 		lineno int
 		events int64
 	)
 	for sc.Scan() {
 		lineno++
-		line := strings.TrimSpace(sc.Text())
+		line := bytes.TrimSpace(sc.Bytes())
 		switch {
-		case line == "" || strings.HasPrefix(line, "#"):
+		case len(line) == 0 || line[0] == '#':
 			continue
-		case line == "trace" || strings.HasPrefix(line, "trace "):
-			if cur != nil {
+		case string(line) == "trace" || bytes.HasPrefix(line, []byte("trace ")):
+			if open {
 				return nil, scanio.LineError("trace", lineno, fmt.Errorf("nested trace record"))
 			}
-			fields := strings.Fields(line)
-			if len(fields) > 2 {
+			rest := bytes.TrimSpace(line[len("trace"):])
+			if bytes.IndexFunc(rest, unicode.IsSpace) >= 0 {
 				return nil, scanio.LineError("trace", lineno, fmt.Errorf("trace ID must be a single word"))
 			}
-			id := ""
-			if len(fields) == 2 {
-				id = fields[1]
-			}
-			cur = &Trace{ID: id}
-		case line == "end":
-			if cur == nil {
+			open, id = true, string(rest)
+		case string(line) == "end":
+			if !open {
 				return nil, scanio.LineError("trace", lineno, fmt.Errorf("end outside trace record"))
 			}
-			s.Add(*cur)
-			cur = nil
+			s.insert(key, Trace{ID: id, Events: evs}, true)
+			open, evs, key = false, evs[:0], key[:0]
 		default:
-			if cur == nil {
+			if !open {
 				return nil, scanio.LineError("trace", lineno, fmt.Errorf("event outside trace record"))
 			}
-			e, err := event.Parse(line)
-			if err != nil {
-				return nil, scanio.LineError("trace", lineno, err)
+			e, ok := parsed[string(line)]
+			if !ok {
+				text := string(line)
+				var err error
+				if e, err = event.Parse(text); err != nil {
+					return nil, scanio.LineError("trace", lineno, err)
+				}
+				parsed[text] = e
 			}
-			cur.Events = append(cur.Events, e)
+			if len(evs) > 0 {
+				key = append(key, "; "...)
+			}
+			key = e.AppendString(key)
+			evs = append(evs, e)
 			events++
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, scanio.LineError("trace", lineno+1, err)
 	}
-	if cur != nil {
-		return nil, fmt.Errorf("trace: unterminated trace record %q", cur.ID) //cablevet:ignore errwrapline whole-input error, no line to blame
+	if open {
+		return nil, fmt.Errorf("trace: unterminated trace record %q", id) //cablevet:ignore errwrapline whole-input error, no line to blame
 	}
 	obs.Count("trace.read.lines", int64(lineno))
 	obs.Count("trace.read.traces", int64(s.Total()))

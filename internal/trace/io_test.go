@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -56,4 +58,49 @@ func TestReadOverlongLineError(t *testing.T) {
 	if !strings.Contains(msg, "4194304-byte limit") {
 		t.Errorf("error does not spell out the limit: %q", msg)
 	}
+}
+
+// duplicateCorpus renders one trace record of n distinct events followed
+// by dups duplicates of it under fresh IDs.
+func duplicateCorpus(n, dups int) string {
+	var b strings.Builder
+	for r := 0; r <= dups; r++ {
+		fmt.Fprintf(&b, "trace t%d\n", r)
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&b, "  X%d = op%d(X, Y)\n", i, i)
+		}
+		b.WriteString("end\n")
+	}
+	return b.String()
+}
+
+// allocsPerDuplicate measures the allocations Read spends on each
+// duplicate record of an n-event trace.
+func allocsPerDuplicate(t *testing.T, read func(io.Reader) (*Set, error), n int) float64 {
+	const dups = 64
+	allocs := func(dups int) float64 {
+		text := duplicateCorpus(n, dups)
+		return testing.AllocsPerRun(20, func() {
+			if _, err := read(strings.NewReader(text)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	return (allocs(2*dups) - allocs(dups)) / dups
+}
+
+// TestReadAllocsPerDuplicate pins the cost of a duplicate record: its ID
+// and its share of the class's ID list, independent of how many events
+// the record holds. Doubling the event count must not raise it.
+func TestReadAllocsPerDuplicate(t *testing.T) {
+	short := allocsPerDuplicate(t, Read, 16)
+	long := allocsPerDuplicate(t, Read, 32)
+	if long > short {
+		t.Errorf("allocs per duplicate grew with the record: %.2f at 16 events, %.2f at 32", short, long)
+	}
+	if short > 2 {
+		t.Errorf("allocs per duplicate = %.2f, want at most 2 (its ID and its slot in the ID list)", short)
+	}
+	t.Logf("allocs per duplicate: %.2f at 16 events, %.2f at 32; reference parser: %.2f, %.2f",
+		short, long, allocsPerDuplicate(t, refRead, 16), allocsPerDuplicate(t, refRead, 32))
 }

@@ -174,18 +174,29 @@ func NewSet(traces ...Trace) *Set {
 // Add inserts a trace. It returns the index of the trace's class and whether
 // the class is new.
 func (s *Set) Add(t Trace) (class int, isNew bool) {
+	var buf [128]byte // keys up to 128 bytes render without a heap buffer
+	return s.insert(t.AppendKey(buf[:0]), t, false)
+}
+
+// insert adds t, whose class key (the bytes of t.Key()) is key, and reports
+// its class index and whether the class is new. A duplicate only appends
+// its ID. When t opens a new class and borrowed is set, the class keeps a
+// copy of t.Events, so the caller may reuse their backing array.
+func (s *Set) insert(key []byte, t Trace, borrowed bool) (class int, isNew bool) {
 	if s.index == nil {
 		s.index = map[string]int{}
 	}
-	key := t.Key()
 	s.total++
-	if i, ok := s.index[key]; ok {
+	if i, ok := s.index[string(key)]; ok {
 		s.classes[i].Count++
 		s.classes[i].IDs = append(s.classes[i].IDs, t.ID)
 		return i, false
 	}
+	if borrowed {
+		t.Events = append([]event.Event(nil), t.Events...)
+	}
 	i := len(s.classes)
-	s.index[key] = i
+	s.index[string(key)] = i
 	s.classes = append(s.classes, Class{Rep: t, Count: 1, IDs: []string{t.ID}})
 	return i, true
 }
