@@ -69,15 +69,17 @@ obs-smoke:
 
 # Short fuzz passes over the three text-format round-trip properties
 # (traces, automata, Burmeister contexts), the trace reader against its
-# plain reference parser, and the two semantic-engine differential
-# properties (determinization vs. the NFA, complement and self-inclusion
-# vs. the bounded oracle).
+# plain reference parser, and the three semantic-engine differential
+# properties (determinization vs. the NFA, Hopcroft minimization vs. the
+# Moore oracle byte for byte, complement and self-inclusion vs. the
+# bounded oracle).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceRoundTrip$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzReadMatchesReference$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzFAIO$$' -fuzztime 5s ./internal/fa
 	$(GO) test -run '^$$' -fuzz '^FuzzConceptIO$$' -fuzztime 5s ./internal/concept
 	$(GO) test -run '^$$' -fuzz '^FuzzDeterminize$$' -fuzztime 5s ./internal/fa/lang
+	$(GO) test -run '^$$' -fuzz '^FuzzMinimizeMatchesMoore$$' -fuzztime 5s ./internal/fa/lang
 	$(GO) test -run '^$$' -fuzz '^FuzzComplementInclusion$$' -fuzztime 5s ./internal/fa/lang
 
 # Build the real cabled binary, exercise the API over TCP, and assert a

@@ -27,6 +27,7 @@ import (
 	"repro/internal/cable"
 	"repro/internal/concept"
 	"repro/internal/fa"
+	"repro/internal/fa/lang"
 	"repro/internal/learn"
 	"repro/internal/mine"
 	"repro/internal/trace"
@@ -130,7 +131,7 @@ func FixSpec(spec *fa.FA, session *Session) (*fa.FA, error) {
 		return spec, nil
 	}
 	goodFA := ReferenceFA(good).WithName(spec.Name() + "+good")
-	fixed, err := fa.Union(spec, goodFA).Minimize()
+	fixed, err := lang.Minimize(fa.Union(spec, goodFA))
 	if err != nil {
 		return nil, err
 	}
@@ -166,7 +167,7 @@ func RelearnGood(session *Session, miner mine.Miner) (*fa.FA, error) {
 	if out == nil {
 		return nil, fmt.Errorf("core: no traces labeled good")
 	}
-	min, err := out.Minimize()
+	min, err := lang.Minimize(out)
 	if err != nil {
 		return nil, err
 	}

@@ -6,7 +6,7 @@ import (
 
 	"repro/internal/cable"
 	"repro/internal/core"
-	"repro/internal/fa"
+	"repro/internal/fa/lang"
 	"repro/internal/mine"
 	"repro/internal/specs"
 	"repro/internal/xtrace"
@@ -127,7 +127,7 @@ func EndToEnd(spec specs.Spec, cfg Config) (E2ERow, error) {
 	} else {
 		row.BadRejected = 1
 	}
-	row.Equivalent, err = fa.Equivalent(relearned, spec.FA)
+	row.Equivalent, _, err = lang.Equivalent(relearned, spec.FA)
 	if err != nil {
 		return row, err
 	}

@@ -5,14 +5,14 @@
 // supports nondeterministic automata with multiple start states, simulation
 // of traces, computation of the set of transitions a trace executes on its
 // accepting runs (the context relation R of Section 3.2 of the paper),
-// determinization, minimization, boolean combinations, language equivalence,
-// bounded language enumeration, the Focus templates of Section 4.1, and DOT
-// and text serialization.
+// trimming, union, bounded language enumeration, the Focus templates of
+// Section 4.1, and DOT and text serialization. The language algebra —
+// determinization, minimization, complement, product and equivalence —
+// lives in internal/fa/lang.
 //
 // A transition labeled with the reserved wildcard event (see Wildcard)
 // matches any event; wildcards appear in the name-projection Focus template.
-// Subset-construction-based operations require wildcards to be expanded over
-// a concrete alphabet first (ExpandWildcards).
+// lang.Compile expands them over an explicit analysis alphabet.
 package fa
 
 import (
@@ -278,19 +278,6 @@ func (f *FA) IsDeterministic() bool {
 		}
 	}
 	return true
-}
-
-// outgoing returns the transition indices leaving s whose label matches e.
-func (f *FA) matching(s State, e event.Event) []int {
-	var out []int
-	key := e.String()
-	for _, ti := range f.byFrom[s] {
-		t := f.trans[ti]
-		if IsWildcard(t.Label) || t.Label.String() == key {
-			out = append(out, ti)
-		}
-	}
-	return out
 }
 
 func toStates(s *bitset.Set) []State {

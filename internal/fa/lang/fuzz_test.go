@@ -12,8 +12,9 @@ import (
 // decodeFA mirrors the FuzzSimDifferential encoding in internal/fa: byte 0
 // picks the state count, byte 1 the accepting state, and each further byte
 // is an edge — from the high nibble, to the low nibble, label cycling
-// through the alphabet with every fourth edge a wildcard.
-func decodeFA(faBytes []byte) *fa.FA {
+// through the alphabet with every fourth edge a wildcard. Without
+// wildcards, the fourth edge takes its label from the edge byte instead.
+func decodeFA(faBytes []byte, wildcards bool) *fa.FA {
 	alpha := []event.Event{
 		event.MustParse("a()"),
 		event.MustParse("b()"),
@@ -38,11 +39,13 @@ func decodeFA(faBytes []byte) *fa.FA {
 	for i, x := range edgeBytes {
 		from := states[int(x>>4)%n]
 		to := states[int(x&0xf)%n]
-		switch i % 4 {
-		case 3:
+		switch {
+		case i%4 < 3:
+			b.Edge(from, alpha[i%4], to)
+		case wildcards:
 			b.WildcardEdge(from, to)
 		default:
-			b.Edge(from, alpha[i%4], to)
+			b.Edge(from, alpha[int(x)%len(alpha)], to)
 		}
 	}
 	return b.MustBuild()
@@ -65,7 +68,7 @@ func FuzzDeterminize(f *testing.F) {
 		if len(faBytes) > 64 {
 			return
 		}
-		nfa := decodeFA(faBytes)
+		nfa := decodeFA(faBytes, true)
 		det, err := lang.Determinize(nfa)
 		if err != nil {
 			t.Fatalf("Determinize: %v", err)
@@ -93,8 +96,8 @@ func FuzzComplementInclusion(f *testing.F) {
 		if len(aBytes) > 64 || len(bBytes) > 64 {
 			return
 		}
-		a := decodeFA(aBytes)
-		b := decodeFA(bBytes)
+		a := decodeFA(aBytes, true)
+		b := decodeFA(bBytes, true)
 		d, err := lang.Compile(a, a.Alphabet())
 		if err != nil {
 			t.Fatalf("Compile: %v", err)
@@ -115,6 +118,29 @@ func FuzzComplementInclusion(f *testing.F) {
 		if !inc && (!a.Accepts(w) || b.Accepts(w)) {
 			t.Fatalf("witness %q does not separate (a: %v, b: %v)",
 				w.Key(), a.Accepts(w), b.Accepts(w))
+		}
+	})
+}
+
+// FuzzMinimizeMatchesMoore checks Hopcroft minimization against the Moore
+// oracle on wildcard-free automata: both must write the same fa.Write
+// bytes, since the spec derivation depends on state numbering and
+// transition order.
+func FuzzMinimizeMatchesMoore(f *testing.F) {
+	f.Add([]byte{3, 1, 0x01, 0x12, 0x21, 0x0a})
+	f.Add([]byte{5, 4, 0x01, 0x02, 0x13, 0x23, 0x34, 0x44, 0x30})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, faBytes []byte) {
+		if len(faBytes) > 64 {
+			return
+		}
+		nfa := decodeFA(faBytes, false)
+		min, err := lang.Minimize(nfa)
+		if err != nil {
+			t.Fatalf("Minimize: %v", err)
+		}
+		if got, want := writeFA(t, min), writeFA(t, mooreMinimize(nfa)); got != want {
+			t.Fatalf("Hopcroft gives\n%sMoore gives\n%son\n%s", got, want, nfa)
 		}
 	})
 }

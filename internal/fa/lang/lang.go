@@ -4,9 +4,10 @@
 // extraction, language inclusion and equivalence with concrete
 // counterexample traces, and Hopcroft minimization.
 //
-// It complements internal/fa's builder-level operations (fa/ops.go): those
-// stay on the *fa.FA representation the derivation pipeline uses, while
-// this package compiles an automaton once into a dense complete DFA —
+// It is the repository's one language engine: internal/fa keeps the
+// representation, simulation, Trim and Union, and every determinization,
+// minimization, complement, product and equivalence question is answered
+// here. An automaton is compiled once into a dense complete DFA —
 // contiguous symbol ids, flat delta rows — where product walks, emptiness
 // BFS, and partition refinement touch plain int32 tables. All semantics
 // are relative to an explicit analysis alphabet; wildcard transitions
@@ -53,9 +54,10 @@ func (d *DFA) NumStates() int { return len(d.Accept) }
 // Compile determinizes and completes f over the given analysis alphabet
 // by subset construction: the empty subset is the rejecting sink, so the
 // result is total by construction. Wildcard transitions match every
-// alphabet symbol (the fa.ExpandWildcards semantics). The alphabet must
-// cover every concrete label of f; compiling against a narrower alphabet
-// would silently drop transitions, so it is an error instead.
+// alphabet symbol; this is the repository's only wildcard expansion. The
+// alphabet must cover every concrete label of f; compiling against a
+// narrower alphabet would silently drop transitions, so it is an error
+// instead.
 func Compile(f *fa.FA, alphabet []event.Event) (*DFA, error) {
 	alpha, idx, err := normalizeAlphabet(alphabet)
 	if err != nil {
@@ -286,8 +288,8 @@ func (d *DFA) FA(name string) *fa.FA {
 }
 
 // Determinize returns a trimmed deterministic automaton recognizing f's
-// language over f's own alphabet (wildcards expand over that alphabet, as
-// with fa.ExpandWildcards).
+// language over f's own alphabet; wildcards expand over that alphabet, so
+// the result agrees with f on traces drawn from it.
 func Determinize(f *fa.FA) (*fa.FA, error) {
 	d, err := Compile(f, f.Alphabet())
 	if err != nil {

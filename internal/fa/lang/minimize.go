@@ -171,10 +171,14 @@ func (d *DFA) partition() []int {
 }
 
 // Minimize returns the minimal trimmed deterministic automaton for f's
-// language over f's own alphabet: subset-construction compile, Hopcroft
-// partition refinement, quotient, trim. Wildcards expand over the
-// alphabet during compilation, as with Determinize.
+// language: subset-construction compile over f's own alphabet, Hopcroft
+// partition refinement, quotient, trim. An automaton with wildcard
+// transitions is an error: expanding them over f's alphabet would drop
+// every trace with an event outside it, silently narrowing the language.
 func Minimize(f *fa.FA) (*fa.FA, error) {
+	if f.HasWildcard() {
+		return nil, fmt.Errorf("lang: cannot minimize %q: it has wildcard transitions", f.Name())
+	}
 	d, err := Compile(f, f.Alphabet())
 	if err != nil {
 		return nil, err

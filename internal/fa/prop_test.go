@@ -48,117 +48,6 @@ func randomTrace(rng *rand.Rand, maxLen int) trace.Trace {
 	return trace.ParseEvents("", events...)
 }
 
-func TestPropDeterminizeMinimizePreserveLanguage(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for iter := 0; iter < 150; iter++ {
-		f := randomFA(rng)
-		d, err := f.Determinize()
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := f.Minimize()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k := 0; k < 20; k++ {
-			tc := randomTrace(rng, 6)
-			want := f.Accepts(tc)
-			if d.Accepts(tc) != want {
-				t.Fatalf("iter %d: determinize changed acceptance of %q on\n%s", iter, tc.Key(), f)
-			}
-			if m.Accepts(tc) != want {
-				t.Fatalf("iter %d: minimize changed acceptance of %q on\n%s", iter, tc.Key(), f)
-			}
-		}
-	}
-}
-
-func TestPropBooleanOps(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	alpha, _ := event.ParseAll("a()", "b()", "c()")
-	for iter := 0; iter < 100; iter++ {
-		f, g := randomFA(rng), randomFA(rng)
-		comp, err := f.Complement(alpha)
-		if err != nil {
-			t.Fatal(err)
-		}
-		inter := Intersect(f, g)
-		uni := Union(f, g)
-		for k := 0; k < 20; k++ {
-			tc := randomTrace(rng, 6)
-			af, ag := f.Accepts(tc), g.Accepts(tc)
-			if comp.Accepts(tc) == af {
-				t.Fatalf("iter %d: complement agrees on %q", iter, tc.Key())
-			}
-			if inter.Accepts(tc) != (af && ag) {
-				t.Fatalf("iter %d: intersect wrong on %q", iter, tc.Key())
-			}
-			if uni.Accepts(tc) != (af || ag) {
-				t.Fatalf("iter %d: union wrong on %q", iter, tc.Key())
-			}
-		}
-	}
-}
-
-func TestPropMinimalIsMinimal(t *testing.T) {
-	// Minimizing twice changes nothing, and the result of Minimize is never
-	// larger than the result of Determinize.
-	rng := rand.New(rand.NewSource(13))
-	for iter := 0; iter < 80; iter++ {
-		f := randomFA(rng)
-		m1, err := f.Minimize()
-		if err != nil {
-			t.Fatal(err)
-		}
-		m2, err := m1.Minimize()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m2.NumStates() != m1.NumStates() {
-			t.Fatalf("iter %d: re-minimization changed size %d -> %d", iter, m1.NumStates(), m2.NumStates())
-		}
-		d, err := f.Determinize()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m1.NumStates() > d.NumStates() {
-			t.Fatalf("iter %d: minimal (%d) bigger than determinized (%d)", iter, m1.NumStates(), d.NumStates())
-		}
-	}
-}
-
-func TestPropEquivalenceIsLanguageEquality(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for iter := 0; iter < 60; iter++ {
-		f, g := randomFA(rng), randomFA(rng)
-		eq, err := Equivalent(f, g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Spot-check with bounded enumeration both ways.
-		disagree := false
-		for _, tc := range f.Enumerate(5, 100) {
-			if !g.Accepts(tc) {
-				disagree = true
-				break
-			}
-		}
-		if !disagree {
-			for _, tc := range g.Enumerate(5, 100) {
-				if !f.Accepts(tc) {
-					disagree = true
-					break
-				}
-			}
-		}
-		if eq && disagree {
-			t.Fatalf("iter %d: Equivalent=true but languages differ", iter)
-		}
-		// The converse direction (disagree=false but eq=false) can be a
-		// difference beyond length 5, so it is not checked.
-	}
-}
-
 // bruteExecuted enumerates all accepting runs via DFS and unions their
 // transitions — an oracle for Executed on short traces.
 func bruteExecuted(f *FA, t trace.Trace) (*bitset.Set, bool) {

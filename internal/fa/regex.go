@@ -23,8 +23,7 @@ import (
 //
 // "." is the wildcard, matching any single event. Compilation is Thompson's
 // construction with ε-transitions eliminated on the fly; the result is an
-// NFA that Determinize/Minimize can process further (after ExpandWildcards
-// if "." was used).
+// NFA that internal/fa/lang can determinize and minimize further.
 
 // Compile parses the pattern and returns an automaton for its language.
 func Compile(name, pattern string) (*FA, error) {

@@ -78,28 +78,6 @@ func TestCompileEventLiterals(t *testing.T) {
 	}
 }
 
-func TestCompileEquivalentToTemplates(t *testing.T) {
-	// The paper's seed-order template written as a regex equals the
-	// SeedOrder constructor's language.
-	alphabet, _ := event.ParseAll("a()", "b()", "s()")
-	tmpl := SeedOrder(alphabet, event.MustParse("s()"))
-	rx := MustCompile("seed-rx", "(a()|b())* s() (a()|b()|s())*")
-	eq, err := Equivalent(tmpl, rx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !eq {
-		t.Error("seed-order regex differs from SeedOrder template")
-	}
-	// Unordered template as a regex.
-	un := Unordered(alphabet)
-	rxu := MustCompile("unordered-rx", "(a()|b()|s())*")
-	eq, err = Equivalent(un, rxu)
-	if err != nil || !eq {
-		t.Errorf("unordered regex differs: %v %v", eq, err)
-	}
-}
-
 func TestCompileWildcard(t *testing.T) {
 	f := MustCompile("w", "a() . b()")
 	if !f.HasWildcard() {

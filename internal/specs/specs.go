@@ -94,7 +94,7 @@ func deriveFA(name string, m xtrace.Model, include func(xtrace.Scenario) bool) (
 	if err != nil {
 		return nil, err
 	}
-	min, err := nfa.Minimize()
+	min, err := lang.Minimize(nfa)
 	if err != nil {
 		return nil, err
 	}

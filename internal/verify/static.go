@@ -3,8 +3,8 @@ package verify
 import (
 	"fmt"
 
-	"repro/internal/event"
 	"repro/internal/fa"
+	"repro/internal/fa/lang"
 	"repro/internal/trace"
 )
 
@@ -22,15 +22,13 @@ import (
 // shortest first. The returned traces carry IDs "static#<n>". An empty
 // result means the program conforms to the specification up to maxLen.
 func Static(program, spec *fa.FA, maxLen, limit int) ([]Violation, error) {
-	alphabet := unionAlphabet(program, spec)
-	notSpec, err := spec.Complement(alphabet)
+	bad, err := violating(program, spec)
 	if err != nil {
-		return nil, fmt.Errorf("verify: complementing %q: %v", spec.Name(), err)
+		return nil, err
 	}
-	bad := fa.Intersect(program, notSpec)
 	sim := spec.Sim()
 	var out []Violation
-	for i, t := range bad.Enumerate(maxLen, limit) {
+	for i, t := range bad.FA(program.Name()+"&!"+spec.Name()).Trim().Enumerate(maxLen, limit) {
 		t.ID = fmt.Sprintf("static#%d", i)
 		at := sim.RejectsAt(t)
 		if at < 0 {
@@ -45,15 +43,32 @@ func Static(program, spec *fa.FA, maxLen, limit int) ([]Violation, error) {
 // accepted by the specification: L(program) ⊆ L(spec). Exact (not bounded):
 // it checks emptiness of program ∩ ¬spec.
 func Conforms(program, spec *fa.FA) (bool, error) {
-	alphabet := unionAlphabet(program, spec)
-	notSpec, err := spec.Complement(alphabet)
+	bad, err := violating(program, spec)
 	if err != nil {
 		return false, err
 	}
-	bad := fa.Intersect(program, notSpec).Trim()
-	// After trimming, a nonempty language means some accepting state
-	// remains reachable.
-	return len(bad.AcceptStates()) == 0, nil
+	_, nonempty := bad.Witness()
+	return !nonempty, nil
+}
+
+// violating compiles program ∩ ¬spec over the joint alphabet of both
+// automata. Program wildcards expand over that alphabet; a wildcard spec
+// is an error, because complementing it over a finite alphabet would
+// misjudge every event outside it.
+func violating(program, spec *fa.FA) (*lang.DFA, error) {
+	if spec.HasWildcard() {
+		return nil, fmt.Errorf("verify: complementing %q: it has wildcard transitions", spec.Name())
+	}
+	alphabet := append(program.Alphabet(), spec.Alphabet()...)
+	dp, err := lang.Compile(program, alphabet)
+	if err != nil {
+		return nil, err
+	}
+	ds, err := lang.Compile(spec, alphabet)
+	if err != nil {
+		return nil, err
+	}
+	return lang.Product(dp, ds, func(p, s bool) bool { return p && !s })
 }
 
 // StaticSet is Static collected into a trace set ready for a Cable
@@ -68,32 +83,4 @@ func StaticSet(program, spec *fa.FA, maxLen, limit int) (*trace.Set, []Violation
 		set.Add(v.Trace)
 	}
 	return set, violations, nil
-}
-
-func unionAlphabet(a, b *fa.FA) []event.Event {
-	seen := map[string]event.Event{}
-	for _, e := range a.Alphabet() {
-		seen[e.String()] = e
-	}
-	for _, e := range b.Alphabet() {
-		seen[e.String()] = e
-	}
-	keys := make([]string, 0, len(seen))
-	for k := range seen {
-		keys = append(keys, k)
-	}
-	sortStrings(keys)
-	out := make([]event.Event, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, seen[k])
-	}
-	return out
-}
-
-func sortStrings(ss []string) {
-	for i := 1; i < len(ss); i++ {
-		for j := i; j > 0 && ss[j] < ss[j-1]; j-- {
-			ss[j], ss[j-1] = ss[j-1], ss[j]
-		}
-	}
 }

@@ -6,6 +6,7 @@ import (
 	"repro/internal/cable"
 	"repro/internal/concept"
 	"repro/internal/fa"
+	"repro/internal/fa/lang"
 	"repro/internal/trace"
 	"repro/internal/wellformed"
 )
@@ -19,7 +20,7 @@ func Example() {
 	// the degenerate reference of the paper's example. (The raw Thompson
 	// construction has more states, whose extra transitions would already
 	// distinguish the traces.)
-	ref, err := fa.MustCompile("foo", "foo()*").Minimize()
+	ref, err := lang.Minimize(fa.MustCompile("foo", "foo()*"))
 	if err != nil {
 		panic(err)
 	}
