@@ -109,9 +109,11 @@ stream-smoke:
 # only meaningful when goroutines actually interleave, and the 1-core
 # reference container never schedules them concurrently. Force 4 procs so
 # CI exercises real cross-core interleavings of the classify/merge path.
+# The TestWide* pins run the wide-universe (row- and intent-projected)
+# kernels against the legacy build and against rebuilds after every add.
 godin-multicore:
 	GOMAXPROCS=4 $(GO) test -race -count=1 \
-	    -run 'TestPropParallelGodinDeterministic|TestParallelGodinDeterministicBigCorpus|TestGodinPrunedMatchesLegacy|TestPropParallelLinkCoversDeterministic|TestBigCorpusParallelDeterministic' \
+	    -run 'TestPropParallelGodinDeterministic|TestParallelGodinDeterministicBigCorpus|TestGodinPrunedMatchesLegacy|TestPropParallelLinkCoversDeterministic|TestBigCorpusParallelDeterministic|TestWideBuildMatchesLegacy|TestWideIncrementalMatchesRebuild|TestWidePrefixTreeAddsMatchRebuild' \
 	    ./internal/concept
 
 # Full measured run; writes BENCH_lattice.json (name → ns/op, allocs/op)

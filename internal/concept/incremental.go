@@ -21,11 +21,24 @@ import (
 // time, so adding object n to a lattice over objects 0..n-1 replays exactly
 // the loop iteration the full rebuild would run next — the concept set,
 // concept IDs, and extents come out identical by construction. Only the
-// cover edges need repair, and the affected region is provably small: when
-// the new row spawns no new concepts the Hasse diagram is unchanged, and
-// when it does, parent lists change only for the new concepts and for old
-// concepts lying strictly below one of them (a broken or inserted cover
-// edge at c requires a new concept strictly above c).
+// cover edges and the query tables need repair.
+//
+// Covers. An add never changes the order among old concepts: c ≤ d iff
+// intent(d) ⊆ intent(c), and intents are immutable. So when the new row
+// spawns no concepts the Hasse diagram is unchanged, and when it does,
+// parent lists change only for the new concepts and for old concepts lying
+// strictly below one of them (a broken or inserted cover edge at c requires
+// a new concept strictly above c). A new concept takes its covers from
+// linkCovers' own per-concept routine (coverWorker.covers). An old concept
+// c below a new one takes as covers the minimal elements of
+// S = parents_old(c) ∪ {new n : c < n}. Proof: every cover of c after the
+// add lies in S — a new cover is a new concept above c, and an old cover d
+// was a cover before, since an old concept strictly between c and d would
+// still lie between them. Every element of S lies above c, hence at or
+// above some cover, so the minimal elements of S are exactly the covers.
+// This costs a few subset tests where recomputing c's covers from the row
+// representatives cost a closure lookup per representative — ~340 of them
+// for the bottom concept of a prefix-tree reference, on every add.
 //
 // Removal is not order-stable in general — deleting an early object can
 // flip the discovery order of later concepts and hence their IDs — so only
@@ -146,154 +159,131 @@ func (l *Lattice) AddObjectCtx(cc context.Context, name string, row *bitset.Set)
 // The ObjectConcept entries of earlier objects are stable under an add —
 // concept IDs never change, intents are immutable, and old rows are
 // untouched, so each σ({o'}) resolves to the same concept — which reduces
-// the table work from numObj index lookups to one. AttributeConcept depends
-// on the (changed) object columns and is recomputed; attribute universes
-// are small.
+// the table work from numObj index lookups to one. AttributeConcept
+// changes only for the attributes of row(o), the only columns that gained
+// an object, and there σ(τ({a}) ∪ {o}) = σ(τ({a})) ∩ row(o): the new μa is
+// one lookup of intent(μa) ∩ row(o) per row attribute.
 func (l *Lattice) updateTablesAfterAdd(o int) {
 	if len(l.objConcept) != o || len(l.attrConcept) != l.ctx.NumAttributes() {
 		// A lattice whose tables were never built (or are from a foreign
 		// constructor) gets the full pass.
-		l.buildTables()
+		l.mustBuildTables()
 		return
 	}
 	sp := obs.StartSpan("lattice.tables")
 	defer sp.End()
-	id := l.idx.lookup(l.concepts, l.ctx.Attributes(o))
+	row := l.ctx.Attributes(o)
+	id := l.idx.lookup(l.concepts, row)
 	if id < 0 {
 		panic("concept: object row is not a closed intent")
 	}
 	l.objConcept = append(l.objConcept, id)
 	scratch := &bitset.Set{}
-	for a := range l.attrConcept {
-		l.ctx.SigmaInto(scratch, l.ctx.Objects(a))
+	row.Range(func(a int) bool {
+		bitset.IntersectInto(scratch, l.concepts[l.attrConcept[a]].Intent, row)
 		id := l.idx.lookup(l.concepts, scratch)
 		if id < 0 {
 			panic("concept: attribute closure is not a closed intent")
 		}
 		l.attrConcept[a] = id
-	}
+		return true
+	})
 }
 
 // repairCoversAfterAdd fixes the Hasse diagram after the Godin step
-// appended concepts firstNew.. (if any). When no concepts were born the
-// diagram is unchanged: extent inclusion among old concepts is preserved by
-// the add (if intent(d) ⊆ intent(c) and c gains o then intent(d) ⊆ row, so
-// d gains o too), and a changed cover at c would require a concept strictly
-// between c and an old neighbour — a new concept. By the same argument,
-// when concepts were born, parent lists change only for the new concepts
-// and for old concepts strictly below one of them; everything else keeps
-// its list, and children lists are patched from the per-concept diffs.
+// appended concepts firstNew.. (if any). Nothing else moves: see the file
+// comment for why only the new concepts and the old concepts strictly
+// below one of them change parents, and why the latter's new covers are
+// the minimal elements of their old parents plus the new concepts above
+// them. New concepts take their covers from linkCovers' own per-concept
+// routine; children lists are patched from the per-concept diffs.
 func (l *Lattice) repairCoversAfterAdd(firstNew int) {
 	n := len(l.concepts)
 	if n == firstNew {
 		return
 	}
-	// Extend the edge tables; new concepts' children fill in from diffs.
+	s, w := l.coverScratch()
 	for ci := firstNew; ci < n; ci++ {
 		l.parents = append(l.parents, nil)
 		l.children = append(l.children, []int{})
 	}
-	// Affected set: new concepts plus old concepts strictly below one.
-	// c < n in the lattice order iff intent(n) ⊂ intent(c); intents are
-	// unique per concept and new intents are novel, so SubsetOf is strict.
-	affected := make([]bool, firstNew)
-	recompute := make([]int, 0, n-firstNew)
 	for ci := firstNew; ci < n; ci++ {
-		nc := l.concepts[ci]
-		for cj := 0; cj < firstNew; cj++ {
-			if !affected[cj] && nc.Intent.SubsetOf(l.concepts[cj].Intent) {
-				affected[cj] = true
+		covers := w.covers(s, ci)
+		np := make([]int, len(covers))
+		for i, cj := range covers {
+			np[i] = int(cj)
+		}
+		insertionSortInts(np)
+		l.setParents(ci, np)
+	}
+	// The minimal elements of parents_old(c) ∪ ups, where ups are the new
+	// concepts above c. The old parents are an antichain, so one of them is
+	// dropped only when a new concept lies below it. A new concept u' stays
+	// when no old parent lies below it; other new concepts need no test:
+	// if c < u < u' with u new and intent(u') = Y' ∩ row for an old intent
+	// Y', the old intent D = intent(c) ∩ Y' lies strictly between (D ⊋
+	// intent(u') as D is old, and D = intent(c) would give intent(u) ⊆
+	// intent(c) ∩ row ⊆ intent(u')), so an old parent of c lies below u'.
+	// Old IDs precede new ones, so the list comes out ascending.
+	var ups []int
+	for ci := 0; ci < firstNew; ci++ {
+		ce := l.concepts[ci].Extent
+		ups = ups[:0]
+		for ni := firstNew; ni < n; ni++ {
+			if ce.SubsetOf(l.concepts[ni].Extent) {
+				ups = append(ups, ni)
 			}
 		}
-		recompute = append(recompute, ci)
-	}
-	for cj := range affected {
-		if affected[cj] {
-			recompute = append(recompute, cj)
+		if len(ups) == 0 {
+			continue
 		}
-	}
-	seen := make([]int32, n)
-	scratch := &bitset.Set{}
-	var gen int32
-	for _, ci := range recompute {
-		gen++
-		np := l.coverParents(ci, scratch, seen, gen)
-		old := l.parents[ci] // nil for new concepts
-		l.parents[ci] = np
-		// Patch children from the sorted old/new diff.
-		i, j := 0, 0
-		for i < len(old) || j < len(np) {
-			switch {
-			case j >= len(np) || (i < len(old) && old[i] < np[j]):
-				l.children[old[i]] = removeSortedInt(l.children[old[i]], ci)
-				i++
-			case i >= len(old) || np[j] < old[i]:
-				l.children[np[j]] = insertSortedInt(l.children[np[j]], ci)
-				j++
-			default:
-				i++
-				j++
+		old := l.parents[ci]
+		np := make([]int, 0, len(old)+len(ups))
+		for _, p := range old {
+			if !l.anyBelow(ups, p) {
+				np = append(np, p)
 			}
 		}
+		for _, u := range ups {
+			if !l.anyBelow(old, u) {
+				np = append(np, u)
+			}
+		}
+		l.setParents(ci, np)
 	}
 }
 
-// coverParents recomputes the upper covers of concept ci from scratch,
-// mirroring linkCovers' per-concept scan exactly: candidates are the
-// closures σ(extent ∪ {o}) over one representative o per distinct row,
-// deduplicated, ordered by (extent size, ID), and filtered so a candidate
-// survives iff no earlier-accepted cover sits inside it — which leaves
-// precisely the minimal candidates, independent of collection order. The
-// returned list is re-sorted ascending by ID, matching the rebuild's merge.
-func (l *Lattice) coverParents(ci int, scratch *bitset.Set, seen []int32, gen int32) []int {
-	c := l.concepts[ci]
-	if c.Extent.Len() == l.ctx.NumObjects() {
-		return []int{} // the top concept has no parents
-	}
-	var cand []int32
-	for _, rep := range l.reps {
-		ro := int(rep)
-		if c.Extent.Has(ro) {
-			continue
-		}
-		bitset.IntersectInto(scratch, c.Intent, l.ctx.Attributes(ro))
-		id := l.idx.lookup(l.concepts, scratch)
-		if id < 0 {
-			panic("concept: closure missing from intent index")
-		}
-		if seen[id] != gen {
-			seen[id] = gen
-			cand = append(cand, int32(id))
+// anyBelow reports whether some concept of xs lies strictly below y, which
+// is not in xs. Extents are unique per concept, so SubsetOf is strict.
+func (l *Lattice) anyBelow(xs []int, y int) bool {
+	ye := l.concepts[y].Extent
+	for _, x := range xs {
+		if l.concepts[x].Extent.SubsetOf(ye) {
+			return true
 		}
 	}
-	sort.Slice(cand, func(i, j int) bool {
-		a, b := cand[i], cand[j]
-		sa, sb := l.concepts[a].Extent.Len(), l.concepts[b].Extent.Len()
-		if sa != sb {
-			return sa < sb
-		}
-		return a < b
-	})
-	acc := cand[:0]
-	for _, cj := range cand {
-		ce := l.concepts[cj].Extent
-		dominated := false
-		for _, k := range acc {
-			if l.concepts[k].Extent.SubsetOf(ce) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			acc = append(acc, cj)
+	return false
+}
+
+// setParents replaces the parent list of ci with the ascending list np and
+// patches the children lists from the sorted old/new diff.
+func (l *Lattice) setParents(ci int, np []int) {
+	old := l.parents[ci] // nil for new concepts
+	l.parents[ci] = np
+	i, j := 0, 0
+	for i < len(old) || j < len(np) {
+		switch {
+		case j >= len(np) || (i < len(old) && old[i] < np[j]):
+			l.children[old[i]] = removeSortedInt(l.children[old[i]], ci)
+			i++
+		case i >= len(old) || np[j] < old[i]:
+			l.children[np[j]] = insertSortedInt(l.children[np[j]], ci)
+			j++
+		default:
+			i++
+			j++
 		}
 	}
-	out := make([]int, len(acc))
-	for i, cj := range acc {
-		out[i] = int(cj)
-	}
-	insertionSortInts(out)
-	return out
 }
 
 // rescanTopBottom recomputes top and bottom the way linkCovers does:
@@ -352,7 +342,9 @@ func (l *Lattice) RemoveObjectCtx(cc context.Context, o int) error {
 			}
 		}
 		l.rescanTopBottom()
-		l.buildTables()
+		// γo splices out. μa is unchanged: o's twin stays in every column
+		// o leaves, so each σ(τ({a})) keeps the same rows.
+		l.objConcept = append(l.objConcept[:o], l.objConcept[o+1:]...)
 		obs.Count("lattice.incr.removes", 1)
 		return nil
 	}
@@ -391,6 +383,9 @@ func (l *Lattice) adopt(nl *Lattice) {
 	l.inv = nl.inv
 	l.hdr = nl.hdr
 	l.godin = nil // intent-word cache indexes the old concept set
+	if l.cover = nl.cover; l.cover != nil {
+		l.cover.scan.l = l
+	}
 	l.legacyGodin = nl.legacyGodin
 }
 

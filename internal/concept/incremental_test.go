@@ -217,7 +217,9 @@ func benchFreshTraces(b *testing.B) []trace.Trace {
 // the pruning speedup is read against; AddRemoveTrace restores the corpus
 // every iteration (the remove is the duplicate-row fast path by
 // construction); Rebuild is the baseline the ≥10× acceptance ratio is read
-// against.
+// against. Those lanes all run a 9-attribute context; Wide/Build and
+// Wide/AddTrace run the thousands-of-attributes prefix-tree context that
+// the wide-universe kernels serve (benchWide).
 func BenchmarkIncremental(b *testing.B) {
 	fc, err := bigCorpusContext()
 	if err != nil {
@@ -285,4 +287,5 @@ func BenchmarkIncremental(b *testing.B) {
 			}
 		}
 	})
+	b.Run("Wide", benchWide)
 }

@@ -111,3 +111,41 @@ func (ix *intentIndex) grow(concepts []*Concept) {
 		}
 	}
 }
+
+// projSet is a reusable open-addressing set of non-zero words — the
+// row- or intent-relative projections the wide-universe kernels compare
+// instead of materialized sets. 0 marks an empty slot.
+type projSet struct {
+	slots []uint64
+	mask  uint64
+}
+
+// reset empties the set and sizes it for up to n entries at load ≤ 1/2.
+func (ps *projSet) reset(n int) {
+	size := 16
+	for size < 2*n {
+		size *= 2
+	}
+	if cap(ps.slots) < size {
+		ps.slots = make([]uint64, size)
+	} else {
+		ps.slots = ps.slots[:size]
+		clear(ps.slots)
+	}
+	ps.mask = uint64(size - 1)
+}
+
+// add inserts the non-zero word x and reports whether it was absent.
+func (ps *projSet) add(x uint64) bool {
+	i := bitset.HashWord(x) & ps.mask
+	for {
+		switch ps.slots[i] {
+		case 0:
+			ps.slots[i] = x
+			return true
+		case x:
+			return false
+		}
+		i = (i + 1) & ps.mask
+	}
+}

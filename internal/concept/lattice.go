@@ -3,6 +3,7 @@ package concept
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"slices"
 	"strings"
@@ -70,6 +71,10 @@ type Lattice struct {
 	hdr []Concept
 	// godin caches the insertion scratch across incremental adds.
 	godin *godinScratch
+	// cover caches the cover-routine state across incremental adds; the
+	// build's linkCovers hands it over, repairCoversAfterAdd keeps it in
+	// step.
+	cover *coverCache
 	// legacyGodin pins this lattice to the unpruned full-scan insertion
 	// step, for differential tests and the unpruned benchmark baseline; it
 	// is inherited by incremental maintenance and replay rebuilds.
@@ -228,14 +233,16 @@ func (l *Lattice) finalizeCtx(cc context.Context, workers int) error {
 	if err := l.linkCovers(cc, workers); err != nil {
 		return err
 	}
-	l.buildTables()
+	l.mustBuildTables()
 	return nil
 }
 
 // buildTables precomputes the ObjectConcept and AttributeConcept lookup
 // tables. γo has intent σ({o}) = row(o); μa has intent σ(τ({a})). Both are
-// closed intents, so the index resolves them directly.
-func (l *Lattice) buildTables() {
+// closed intents of a consistent lattice, so the index resolves them
+// directly; the error reports a miss, which only deserialized (untrusted)
+// state can produce.
+func (l *Lattice) buildTables() error {
 	sp := obs.StartSpan("lattice.tables")
 	defer sp.End()
 	scratch := &bitset.Set{}
@@ -243,7 +250,7 @@ func (l *Lattice) buildTables() {
 	for o := range l.objConcept {
 		id := l.idx.lookup(l.concepts, l.ctx.Attributes(o))
 		if id < 0 {
-			panic("concept: object row is not a closed intent")
+			return fmt.Errorf("row of object %d is not a closed intent", o)
 		}
 		l.objConcept[o] = id
 	}
@@ -252,9 +259,18 @@ func (l *Lattice) buildTables() {
 		l.ctx.SigmaInto(scratch, l.ctx.Objects(a))
 		id := l.idx.lookup(l.concepts, scratch)
 		if id < 0 {
-			panic("concept: attribute closure is not a closed intent")
+			return fmt.Errorf("closure of attribute %d is not a closed intent", a)
 		}
 		l.attrConcept[a] = id
+	}
+	return nil
+}
+
+// mustBuildTables is buildTables for lattices this package constructed,
+// where a miss is a bug.
+func (l *Lattice) mustBuildTables() {
+	if err := l.buildTables(); err != nil {
+		panic("concept: " + err.Error())
 	}
 }
 
@@ -302,12 +318,16 @@ const linkChunk = 64
 // few subset tests among candidates, versus the all-pairs-plus-dominated
 // scan (cubic in concept count) this replaces.
 //
-// Three refinements over the direct form: (1) only one representative per
+// Four refinements over the direct form: (1) only one representative per
 // distinct context row is scanned — duplicate rows yield identical closures
 // and identical extent membership, so at trace-corpus scale (many traces,
 // few distinct transition sets) the scan shrinks by orders of magnitude;
-// (2) accepted covers with small extents over wide universes are tested via
-// sparse element lists instead of dense word sweeps; (3) concepts are
+// (2) on universes wider than one word, an intent of at most 64 attributes
+// is projected onto each representative row through per-attribute
+// postings, so closures are compared as words and only the distinct ones
+// are materialized and looked up (see coverWorker.projectedCands); (3)
+// accepted covers with small extents over wide universes are tested via
+// sparse element lists instead of dense word sweeps; (4) concepts are
 // partitioned across a worker pool — per-concept work touches only
 // read-only shared state, so workers claim chunks from an atomic counter
 // and write disjoint out-slots, making the result bit-identical to the
@@ -322,10 +342,10 @@ func (l *Lattice) linkCovers(cc context.Context, workers int) error {
 		l.top, l.bottom = 0, 0
 		return nil
 	}
-	sizes := make([]int32, n)
+	s := l.newCoverScan()
+	sizes := s.sizes
 	l.top, l.bottom = 0, 0
-	for i, c := range l.concepts {
-		sizes[i] = int32(c.Extent.Len())
+	for i := range sizes {
 		if sizes[i] > sizes[l.top] {
 			l.top = i
 		}
@@ -333,53 +353,10 @@ func (l *Lattice) linkCovers(cc context.Context, workers int) error {
 			l.bottom = i
 		}
 	}
-	numObj := l.ctx.NumObjects()
-
-	// One representative object per distinct context row — the same dedup
-	// the pruned Godin step maintains, so builds that already paid for it
-	// reuse it here.
-	l.repsEnsure()
-	reps := l.reps
-
-	// attrReps[a] is the set of rep POSITIONS (indices into reps) whose row
-	// contains attribute a. The union over a concept's intent is exactly the
-	// reps whose closure against that intent is non-empty: reps outside the
-	// union close to ∅, and since a rep inside the extent always carries the
-	// whole intent, every outside rep is automatically outside the extent
-	// too. They all name one candidate — the ∅-intent concept — which must
-	// exist whenever any of them does (intersections of closed intents are
-	// closed), so the per-rep scan collapses to the in-mask reps plus at
-	// most one appended candidate.
-	attrReps := make([]bitset.Set, l.ctx.NumAttributes())
-	for k, rep := range reps {
-		l.ctx.Attributes(int(rep)).Range(func(a int) bool {
-			attrReps[a].Add(k)
-			return true
-		})
-	}
-	emptyID := l.idx.lookup(l.concepts, &bitset.Set{})
-
-	// On one-word attribute universes (≤64 attributes — every shipped
-	// corpus) intents and rows fit in registers: the closure is one AND and
-	// known intents are probed through a flat word table, skipping the
-	// Set-walking Equal in the index probe.
-	var intentWord []uint64
-	var repWord []uint64
-	if l.ctx.NumAttributes() <= wordBitsPerSet {
-		intentWord = make([]uint64, n)
-		for i, c := range l.concepts {
-			intentWord[i] = word0(c.Intent)
-		}
-		repWord = make([]uint64, len(reps))
-		for k, rep := range reps {
-			repWord[k] = word0(l.ctx.Attributes(int(rep)))
-		}
-	}
 
 	// Sparse projections of small extents, carved from one slab.
-	var sparse [][]int32
-	if wordsFor(numObj) >= sparseMinWords {
-		sparse = make([][]int32, n)
+	if wordsFor(s.numObj) >= sparseMinWords {
+		s.sparse = make([][]int32, n)
 		total := 0
 		for i := range sizes {
 			if int(sizes[i]) <= sparseMaxElems {
@@ -391,160 +368,15 @@ func (l *Lattice) linkCovers(cc context.Context, workers int) error {
 			if int(sizes[i]) <= sparseMaxElems {
 				start := len(slab)
 				slab = c.Extent.AppendElems32(slab)
-				sparse[i] = slab[start:len(slab):len(slab)]
+				s.sparse[i] = slab[start:len(slab):len(slab)]
 			}
 		}
-	}
-
-	less := func(a, b int32) bool {
-		if sizes[a] != sizes[b] {
-			return sizes[a] < sizes[b]
-		}
-		return a < b
-	}
-	cmp32 := func(a, b int32) int {
-		if sizes[a] != sizes[b] {
-			return int(sizes[a] - sizes[b])
-		}
-		return int(a - b)
 	}
 
 	// out[ci] receives ci's covers; each worker writes only the slots of
 	// chunks it claimed, so the slice needs no synchronization beyond the
 	// pool's WaitGroup.
 	out := make([][]int32, n)
-	type lcWorker struct {
-		scratch bitset.Set
-		mask    bitset.Set // union of attrReps rows over the concept's intent
-		seen    []int32    // seen[id] == gen marks id as a candidate of the current concept
-		gen     int32
-		cand    []int32
-		block   []int32 // cover output; out slices point into retired blocks
-		layers  int64
-		cands   int64
-		busy    time.Duration
-	}
-	newWorker := func() *lcWorker {
-		return &lcWorker{
-			seen:  make([]int32, n),
-			cand:  make([]int32, 0, len(reps)),
-			block: make([]int32, 0, 4096),
-		}
-	}
-	process := func(w *lcWorker, ci int) {
-		if int(sizes[ci]) == numObj {
-			return // the top concept has no parents
-		}
-		c := l.concepts[ci]
-		w.gen++
-		if w.gen == 0 { // stamp wrapped: reset and restart generations
-			for i := range w.seen {
-				w.seen[i] = 0
-			}
-			w.gen = 1
-		}
-		// Collect the deduplicated candidate set {concept(Y ∩ row(o))},
-		// visiting only reps sharing ≥1 attribute with the intent; the reps
-		// outside the mask collapse into the single ∅-intent candidate.
-		w.mask.Clear()
-		c.Intent.Range(func(a int) bool {
-			w.mask.UnionWith(&attrReps[a])
-			return true
-		})
-		cand := w.cand[:0]
-		if intentWord != nil {
-			yw := intentWord[ci]
-			w.mask.Range(func(k int) bool {
-				if c.Extent.Has(int(reps[k])) {
-					return true
-				}
-				id := l.idx.lookupWord(intentWord, yw&repWord[k])
-				if id < 0 {
-					panic("concept: closure missing from intent index")
-				}
-				if w.seen[id] != w.gen {
-					w.seen[id] = w.gen
-					cand = append(cand, int32(id))
-				}
-				return true
-			})
-		} else {
-			w.mask.Range(func(k int) bool {
-				o := int(reps[k])
-				if c.Extent.Has(o) {
-					return true
-				}
-				bitset.IntersectInto(&w.scratch, c.Intent, l.ctx.Attributes(o))
-				id := l.idx.lookup(l.concepts, &w.scratch)
-				if id < 0 {
-					panic("concept: closure missing from intent index")
-				}
-				if w.seen[id] != w.gen {
-					w.seen[id] = w.gen
-					cand = append(cand, int32(id))
-				}
-				return true
-			})
-		}
-		if w.mask.Len() < len(reps) {
-			// Some rep is disjoint from the intent, so ∅ is a closed intent
-			// and its concept is a candidate (in-mask reps never produce it:
-			// their closures contain a shared attribute).
-			if emptyID < 0 {
-				panic("concept: closure missing from intent index")
-			}
-			cand = append(cand, int32(emptyID))
-		}
-		// Size-layer order: ascending extent size, ties by ID for
-		// determinism (the total order also erases any candidate-order
-		// difference versus the unpruned per-rep scan). Insertion sort for
-		// the short lists that dominate; slices.SortFunc above the cutoff.
-		if len(cand) <= insertionSortCutoff {
-			for i := 1; i < len(cand); i++ {
-				for j := i; j > 0 && less(cand[j], cand[j-1]); j-- {
-					cand[j], cand[j-1] = cand[j-1], cand[j]
-				}
-			}
-		} else {
-			slices.SortFunc(cand, cmp32)
-		}
-		w.cand = cand
-		w.cands += int64(len(cand))
-		if len(cand) > 0 {
-			w.layers++
-			for i := 1; i < len(cand); i++ {
-				if sizes[cand[i]] != sizes[cand[i-1]] {
-					w.layers++
-				}
-			}
-		}
-		// A candidate is a cover iff no cover accepted from an earlier
-		// (smaller) layer sits inside it.
-		if cap(w.block)-len(w.block) < 256 {
-			w.block = make([]int32, 0, 4096) // retired blocks stay referenced by out
-		}
-		start := len(w.block)
-		for _, cj := range cand {
-			ce := l.concepts[cj].Extent
-			dominated := false
-			for _, k := range w.block[start:] {
-				if sparse != nil && sparse[k] != nil {
-					if bitset.SparseSubsetOf(sparse[k], ce) {
-						dominated = true
-						break
-					}
-				} else if l.concepts[k].Extent.SubsetOf(ce) {
-					dominated = true
-					break
-				}
-			}
-			if !dominated {
-				w.block = append(w.block, cj)
-			}
-		}
-		out[ci] = w.block[start:len(w.block):len(w.block)]
-	}
-
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -559,12 +391,12 @@ func (l *Lattice) linkCovers(cc context.Context, workers int) error {
 	}
 	var totalLayers, totalCands int64
 	if workers <= 1 || n < 2*linkChunk {
-		w := newWorker()
+		w := newCoverWorker(s)
 		for ci := 0; ci < n; ci++ {
 			if ci%linkChunk == 0 && cancelled() {
 				return cc.Err()
 			}
-			process(w, ci)
+			out[ci] = w.covers(s, ci)
 		}
 		totalLayers, totalCands = w.layers, w.cands
 		obs.SetGauge("lattice.linkcovers.workers", 1)
@@ -573,7 +405,8 @@ func (l *Lattice) linkCovers(cc context.Context, workers int) error {
 		if workers > numChunks {
 			workers = numChunks
 		}
-		ws := make([]*lcWorker, workers)
+		ws := make([]*coverWorker, workers)
+		busy := make([]time.Duration, workers)
 		var next atomic.Int64
 		next.Store(-1)
 		start := time.Now()
@@ -582,7 +415,7 @@ func (l *Lattice) linkCovers(cc context.Context, workers int) error {
 			wg.Add(1)
 			go func(wi int) {
 				defer wg.Done()
-				w := newWorker()
+				w := newCoverWorker(s)
 				ws[wi] = w
 				for !cancelled() {
 					chunk := int(next.Add(1))
@@ -595,9 +428,9 @@ func (l *Lattice) linkCovers(cc context.Context, workers int) error {
 					}
 					t0 := time.Now()
 					for ci := chunk * linkChunk; ci < hi; ci++ {
-						process(w, ci)
+						out[ci] = w.covers(s, ci)
 					}
-					w.busy += time.Since(t0)
+					busy[wi] += time.Since(t0)
 				}
 			}(wi)
 		}
@@ -613,8 +446,8 @@ func (l *Lattice) linkCovers(cc context.Context, workers int) error {
 		obs.SetGauge("lattice.linkcovers.workers", int64(workers))
 		if m := obs.Default(); m != nil && elapsed > 0 {
 			util := m.Histogram("lattice.linkcovers.worker_util_pct")
-			for _, w := range ws {
-				util.Observe(int64(100 * w.busy / elapsed))
+			for _, b := range busy {
+				util.Observe(int64(100 * b / elapsed))
 			}
 		}
 	}
@@ -656,7 +489,349 @@ func (l *Lattice) linkCovers(cc context.Context, workers int) error {
 			l.children[p] = append(l.children[p], ci)
 		}
 	}
+	// Incremental adds repair covers with the same routine; hand them the
+	// scan state, minus the sparse projections of extents an add will grow.
+	s.sparse = nil
+	l.cover = &coverCache{scan: s}
 	return nil
+}
+
+// coverScan is the state the per-concept cover routine reads: built once
+// per linkCovers pass and shared read-only by its workers, then kept on the
+// lattice (coverCache) and brought up to date for incremental cover repair.
+type coverScan struct {
+	l      *Lattice
+	numObj int
+	reps   []int32
+	// sizes[id] is the extent size of concept id.
+	sizes []int32
+	// attrReps[a] is the set of rep POSITIONS (indices into reps) whose row
+	// contains attribute a. The union over a concept's intent is exactly the
+	// reps whose closure against that intent is non-empty: reps outside the
+	// union close to ∅, and since a rep inside the extent always carries the
+	// whole intent, every outside rep is automatically outside the extent
+	// too. They all name one candidate — the ∅-intent concept — which must
+	// exist whenever any of them does (intersections of closed intents are
+	// closed), so the per-rep scan collapses to the in-mask reps plus at
+	// most one appended candidate.
+	attrReps []bitset.Set
+	// emptyID is the ∅-intent concept, or -1.
+	emptyID int
+	// On one-word attribute universes (≤64 attributes — every shipped
+	// corpus) intents and rows fit in registers: the closure is one AND and
+	// known intents are probed through a flat word table, skipping the
+	// Set-walking Equal in the index probe. Both tables are nil on wider
+	// universes.
+	intentWord []uint64
+	repWord    []uint64
+	// sparse[id], when non-nil, lists the elements of a small extent over a
+	// wide object universe for the domination tests.
+	sparse [][]int32
+}
+
+// newCoverScan builds the cover-routine state over the lattice's current
+// concepts and row representatives.
+func (l *Lattice) newCoverScan() *coverScan {
+	l.repsEnsure()
+	s := &coverScan{
+		l:        l,
+		sizes:    make([]int32, 0, len(l.concepts)),
+		attrReps: make([]bitset.Set, l.ctx.NumAttributes()),
+	}
+	if l.ctx.NumAttributes() <= wordBitsPerSet {
+		s.intentWord = make([]uint64, 0, len(l.concepts))
+		s.repWord = make([]uint64, 0, len(l.reps))
+	}
+	s.sync()
+	return s
+}
+
+// sync brings the scan up to date with the lattice: extent sizes are
+// re-read, postings and row words are appended for the reps added since
+// the last sync, and intent words for the newer concepts (intents and rows
+// never change, so older entries stay valid).
+func (s *coverScan) sync() {
+	l := s.l
+	indexed := len(s.reps)
+	s.numObj = l.ctx.NumObjects()
+	s.reps = l.reps
+	s.sizes = s.sizes[:0]
+	for _, c := range l.concepts {
+		s.sizes = append(s.sizes, int32(c.Extent.Len()))
+	}
+	for k := indexed; k < len(l.reps); k++ {
+		row := l.ctx.Attributes(int(l.reps[k]))
+		row.Range(func(a int) bool {
+			s.attrReps[a].Add(k)
+			return true
+		})
+		if s.repWord != nil {
+			s.repWord = append(s.repWord, word0(row))
+		}
+	}
+	if s.intentWord != nil {
+		for i := len(s.intentWord); i < len(l.concepts); i++ {
+			s.intentWord = append(s.intentWord, word0(l.concepts[i].Intent))
+		}
+	}
+	s.emptyID = l.idx.lookup(l.concepts, &bitset.Set{})
+}
+
+// coverCache keeps the cover-routine state and one worker's scratch across
+// incremental adds, the way godinScratch keeps the insertion scratch.
+type coverCache struct {
+	scan *coverScan
+	w    *coverWorker
+}
+
+// coverScratch returns the lattice's cover-routine state, synced with the
+// current concepts and reps, and its reusable worker.
+func (l *Lattice) coverScratch() (*coverScan, *coverWorker) {
+	cc := l.cover
+	if cc == nil {
+		cc = &coverCache{scan: l.newCoverScan()}
+		l.cover = cc
+	} else {
+		cc.scan.sync()
+	}
+	if cc.w == nil {
+		cc.w = newCoverWorker(cc.scan)
+	} else {
+		cc.w.fit(cc.scan)
+	}
+	return cc.scan, cc.w
+}
+
+// coverWorker is the per-goroutine scratch of the cover routine.
+type coverWorker struct {
+	scratch bitset.Set
+	mask    bitset.Set // union of attrReps rows over the concept's intent
+	seen    []int32    // seen[id] == gen marks id as a candidate of the current concept
+	gen     int32
+	cand    []int32
+	block   []int32 // cover output; returned slices point into retired blocks
+	// Projected-kernel scratch: proj[k] is the projection of rep k's row
+	// onto the intent's attributes attrs, touched lists the reps with a
+	// non-zero projection, and distinct dedupes the projections.
+	proj     []uint64
+	touched  []int32
+	attrs    []int32
+	distinct projSet
+	layers   int64
+	cands    int64
+}
+
+func newCoverWorker(s *coverScan) *coverWorker {
+	w := &coverWorker{
+		cand:  make([]int32, 0, len(s.reps)),
+		block: make([]int32, 0, 4096),
+	}
+	w.fit(s)
+	return w
+}
+
+// fit grows the per-concept and per-rep tables to the scan's current size.
+func (w *coverWorker) fit(s *coverScan) {
+	if n := len(s.sizes); len(w.seen) < n {
+		w.seen = append(w.seen, make([]int32, n-len(w.seen))...)
+	}
+	if s.intentWord == nil && len(w.proj) < len(s.reps) {
+		w.proj = append(w.proj, make([]uint64, len(s.reps)-len(w.proj))...)
+	}
+}
+
+// covers computes the upper covers of concept ci — the candidates
+// {concept(Y ∩ row(o)) : o ∉ X}, over one representative o per distinct
+// row, that are minimal by extent — in (extent size, ID) order. The result
+// aliases the worker's output block.
+func (w *coverWorker) covers(s *coverScan, ci int) []int32 {
+	if int(s.sizes[ci]) == s.numObj {
+		return nil // the top concept has no parents
+	}
+	l := s.l
+	c := l.concepts[ci]
+	var cand []int32
+	var inMask int
+	if s.intentWord == nil && c.Intent.Len() <= wordBitsPerSet {
+		cand, inMask = w.projectedCands(s, c)
+	} else {
+		w.gen++
+		if w.gen == 0 { // stamp wrapped: reset and restart generations
+			for i := range w.seen {
+				w.seen[i] = 0
+			}
+			w.gen = 1
+		}
+		// Collect the deduplicated candidate set {concept(Y ∩ row(o))},
+		// visiting only reps sharing ≥1 attribute with the intent.
+		w.mask.Clear()
+		c.Intent.Range(func(a int) bool {
+			w.mask.UnionWith(&s.attrReps[a])
+			return true
+		})
+		inMask = w.mask.Len()
+		cand = w.cand[:0]
+		if s.intentWord != nil {
+			yw := s.intentWord[ci]
+			w.mask.Range(func(k int) bool {
+				if c.Extent.Has(int(s.reps[k])) {
+					return true
+				}
+				id := l.idx.lookupWord(s.intentWord, yw&s.repWord[k])
+				if id < 0 {
+					panic("concept: closure missing from intent index")
+				}
+				if w.seen[id] != w.gen {
+					w.seen[id] = w.gen
+					cand = append(cand, int32(id))
+				}
+				return true
+			})
+		} else {
+			w.mask.Range(func(k int) bool {
+				o := int(s.reps[k])
+				if c.Extent.Has(o) {
+					return true
+				}
+				bitset.IntersectInto(&w.scratch, c.Intent, l.ctx.Attributes(o))
+				id := l.idx.lookup(l.concepts, &w.scratch)
+				if id < 0 {
+					panic("concept: closure missing from intent index")
+				}
+				if w.seen[id] != w.gen {
+					w.seen[id] = w.gen
+					cand = append(cand, int32(id))
+				}
+				return true
+			})
+		}
+	}
+	if inMask < len(s.reps) {
+		// Some rep is disjoint from the intent, so ∅ is a closed intent
+		// and its concept is a candidate (in-mask reps never produce it:
+		// their closures contain a shared attribute).
+		if s.emptyID < 0 {
+			panic("concept: closure missing from intent index")
+		}
+		cand = append(cand, int32(s.emptyID))
+	}
+	w.cand = cand
+	w.cands += int64(len(cand))
+	return w.minimal(s, cand)
+}
+
+// projectedCands is the candidate collection for an intent Y of at most
+// 64 attributes over a wider universe. Each in-mask rep's row is projected
+// onto Y — bit i set iff the row holds Y's i-th attribute — by walking the
+// postings of Y's attributes, which costs what the intent touches instead
+// of a sweep of the universe's words per rep. A full projection means the
+// row contains Y, which is exactly a rep inside the extent τ(Y); the rest
+// are deduplicated as words, and each distinct projection — a distinct
+// closure Y ∩ row, hence a distinct concept — is materialized and looked
+// up once. It returns the candidates and the number of in-mask reps.
+func (w *coverWorker) projectedCands(s *coverScan, c *Concept) ([]int32, int) {
+	l := s.l
+	w.attrs = c.Intent.AppendElems32(w.attrs[:0])
+	touched := w.touched[:0]
+	for i, a := range w.attrs {
+		bit := uint64(1) << uint(i)
+		s.attrReps[a].Range(func(k int) bool {
+			if w.proj[k] == 0 {
+				touched = append(touched, int32(k))
+			}
+			w.proj[k] |= bit
+			return true
+		})
+	}
+	w.touched = touched
+	full := ^uint64(0) >> uint(wordBitsPerSet-len(w.attrs))
+	w.distinct.reset(len(touched))
+	cand := w.cand[:0]
+	for _, k := range touched {
+		p := w.proj[k]
+		w.proj[k] = 0
+		if p == full || !w.distinct.add(p) {
+			continue
+		}
+		w.scratch.Clear()
+		for q := p; q != 0; q &= q - 1 {
+			w.scratch.Add(int(w.attrs[bits.TrailingZeros64(q)]))
+		}
+		id := l.idx.lookup(l.concepts, &w.scratch)
+		if id < 0 {
+			panic("concept: closure missing from intent index")
+		}
+		cand = append(cand, int32(id))
+	}
+	return cand, len(touched)
+}
+
+// minimal returns the elements of cand that are minimal by extent
+// inclusion, in (extent size, ID) order — the size-layer order in which a
+// candidate is a cover iff no cover accepted from an earlier (smaller)
+// layer sits inside it. cand is sorted in place; the result aliases the
+// worker's output block.
+func (w *coverWorker) minimal(s *coverScan, cand []int32) []int32 {
+	sizes := s.sizes
+	// Size-layer order: ascending extent size, ties by ID for determinism
+	// (the total order also erases any candidate-order difference versus
+	// the unpruned per-rep scan). Insertion sort for the short lists that
+	// dominate; slices.SortFunc above the cutoff.
+	if len(cand) <= insertionSortCutoff {
+		for i := 1; i < len(cand); i++ {
+			for j := i; j > 0 && coverLess(sizes, cand[j], cand[j-1]); j-- {
+				cand[j], cand[j-1] = cand[j-1], cand[j]
+			}
+		}
+	} else {
+		slices.SortFunc(cand, func(a, b int32) int {
+			if sizes[a] != sizes[b] {
+				return int(sizes[a] - sizes[b])
+			}
+			return int(a - b)
+		})
+	}
+	if len(cand) > 0 {
+		w.layers++
+		for i := 1; i < len(cand); i++ {
+			if sizes[cand[i]] != sizes[cand[i-1]] {
+				w.layers++
+			}
+		}
+	}
+	if cap(w.block)-len(w.block) < len(cand) {
+		// Retired blocks stay referenced by earlier results.
+		w.block = make([]int32, 0, max(4096, len(cand)))
+	}
+	concepts := s.l.concepts
+	start := len(w.block)
+	for _, cj := range cand {
+		ce := concepts[cj].Extent
+		dominated := false
+		for _, k := range w.block[start:] {
+			if s.sparse != nil && s.sparse[k] != nil {
+				if bitset.SparseSubsetOf(s.sparse[k], ce) {
+					dominated = true
+					break
+				}
+			} else if concepts[k].Extent.SubsetOf(ce) {
+				dominated = true
+				break
+			}
+		}
+		if !dominated {
+			w.block = append(w.block, cj)
+		}
+	}
+	return w.block[start:len(w.block):len(w.block)]
+}
+
+// coverLess is the (extent size, ID) order of the size layers.
+func coverLess(sizes []int32, a, b int32) bool {
+	if sizes[a] != sizes[b] {
+		return sizes[a] < sizes[b]
+	}
+	return a < b
 }
 
 func wordsFor(n int) int { return (n + 63) / 64 }

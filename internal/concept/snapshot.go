@@ -290,34 +290,10 @@ func ReadSnapshot(r io.Reader) (*Lattice, error) {
 			l.children[p] = append(l.children[p], ci)
 		}
 	}
-	if err := l.buildTablesChecked(); err != nil {
-		return nil, err
+	if err := l.buildTables(); err != nil {
+		return nil, fmt.Errorf("concept: snapshot: %w", err)
 	}
 	return l, nil
-}
-
-// buildTablesChecked is buildTables with errors instead of panics, for
-// rebuilding the γ/μ tables from deserialized (untrusted) state.
-func (l *Lattice) buildTablesChecked() error {
-	scratch := &bitset.Set{}
-	l.objConcept = make([]int, l.ctx.NumObjects())
-	for o := range l.objConcept {
-		id := l.idx.lookup(l.concepts, l.ctx.Attributes(o))
-		if id < 0 {
-			return fmt.Errorf("concept: snapshot: row of object %d is not a closed intent", o)
-		}
-		l.objConcept[o] = id
-	}
-	l.attrConcept = make([]int, l.ctx.NumAttributes())
-	for a := range l.attrConcept {
-		l.ctx.SigmaInto(scratch, l.ctx.Objects(a))
-		id := l.idx.lookup(l.concepts, scratch)
-		if id < 0 {
-			return fmt.Errorf("concept: snapshot: closure of attribute %d is not a closed intent", a)
-		}
-		l.attrConcept[a] = id
-	}
-	return nil
 }
 
 // boundedCap clamps a header-claimed count to a safe initial allocation.
