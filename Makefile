@@ -49,10 +49,11 @@ race:
 	$(GO) test -race ./...
 
 # A one-iteration pass over the lattice-engine, compiled-simulator,
-# streaming, trace-parsing and learner benchmarks: catches benchmark-code
-# rot without paying for stable measurements.
+# streaming, trace-parsing and learner benchmarks, and every root-package
+# benchmark (the paper tables and ablations): catches benchmark-code rot
+# without paying for stable measurements.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkLinkCovers|BenchmarkLatticeQueries|BenchmarkLatticeBig|BenchmarkBitset|BenchmarkArena|BenchmarkIncremental|BenchmarkParallel|BenchmarkSortInts' \
+	$(GO) test -run '^$$' -bench 'BenchmarkLinkCovers|BenchmarkLatticeQueries|BenchmarkLatticeBig|BenchmarkBitset|BenchmarkArena|BenchmarkIncremental|BenchmarkParallel|BenchmarkSortInts|BenchmarkAblation' \
 	    -benchtime 1x ./internal/concept ./internal/bitset
 	$(GO) test -run '^$$' -bench 'BenchmarkExecuted|BenchmarkExecutedAll|BenchmarkAccepts|BenchmarkTraceContext' \
 	    -benchtime 1x ./internal/fa ./internal/concept
@@ -60,6 +61,7 @@ bench-smoke:
 	    -benchtime 1x ./internal/stream ./internal/server
 	$(GO) test -run '^$$' -bench 'BenchmarkRead|BenchmarkLearn' \
 	    -benchtime 1x ./internal/trace ./internal/learn
+	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
 # Run cmd/paper with -metrics and assert the snapshot attributes time to
 # the pipeline phases (a span line for lattice.build must be present).
@@ -105,12 +107,13 @@ stream-smoke:
 	$(GO) test -race -run 'TestStreamSmoke|TestStreamSoak' -count=1 \
 	    ./cmd/cabled ./internal/server
 
-# Multi-core determinism: the parallel Godin and linkCovers properties are
-# only meaningful when goroutines actually interleave, and the 1-core
-# reference container never schedules them concurrently. Force 4 procs so
-# CI exercises real cross-core interleavings of the classify/merge path.
-# The TestWide* pins run the wide-universe (row- and intent-projected)
-# kernels against the legacy build and against rebuilds after every add.
+# Multi-core determinism: the worker-count properties of the linkCovers
+# pool are only meaningful when goroutines actually interleave, and a
+# 1-core machine never schedules them concurrently. Force 4 procs so CI
+# exercises real cross-core interleavings of the pool. The Godin pins
+# compare pruned builds and adds with the full-scan oracle; the TestWide*
+# pins run the wide-universe (row- and intent-projected) kernels against
+# that oracle and against rebuilds after every add.
 godin-multicore:
 	GOMAXPROCS=4 $(GO) test -race -count=1 \
 	    -run 'TestPropParallelGodinDeterministic|TestParallelGodinDeterministicBigCorpus|TestGodinPrunedMatchesLegacy|TestPropParallelLinkCoversDeterministic|TestBigCorpusParallelDeterministic|TestWideBuildMatchesLegacy|TestWideIncrementalMatchesRebuild|TestWidePrefixTreeAddsMatchRebuild' \

@@ -193,26 +193,6 @@ func BenchmarkFigure9and10_Animals(b *testing.B) {
 
 // --- Ablations -----------------------------------------------------------
 
-// BenchmarkAblation_LatticeBuilders compares the incremental (Godin-style)
-// construction against the naive closure-enumeration oracle.
-func BenchmarkAblation_LatticeBuilders(b *testing.B) {
-	e := mustPrepare(b, "XtFree")
-	ctx, err := concept.TraceContext(e.Set.Representatives(), e.Ref)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("Incremental", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			concept.Build(ctx)
-		}
-	})
-	b.Run("Naive", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			concept.BuildNaive(ctx)
-		}
-	})
-}
-
 // BenchmarkAblation_ReferenceFA compares lattice construction under the
 // three reference choices of Step 1a: the mined FA, the unordered
 // template, and the PTA.

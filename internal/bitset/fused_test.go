@@ -172,29 +172,6 @@ func TestAppendElems32(t *testing.T) {
 	}
 }
 
-func TestSparseSubsetOf(t *testing.T) {
-	t1 := FromSlice([]int{1, 3, 64, 500})
-	if !SparseSubsetOf([]int32{1, 500}, t1) {
-		t.Fatalf("SparseSubsetOf({1,500}, %v) = false", t1)
-	}
-	if SparseSubsetOf([]int32{1, 2}, t1) {
-		t.Fatalf("SparseSubsetOf({1,2}, %v) = true", t1)
-	}
-	if SparseSubsetOf([]int32{1000}, t1) {
-		t.Fatalf("element beyond t's words must refute subset")
-	}
-	if !SparseSubsetOf(nil, &Set{}) {
-		t.Fatalf("empty sparse set is a subset of anything")
-	}
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 300; i++ {
-		a, b := randomSet(rng, 400), randomSet(rng, 400)
-		if got, want := SparseSubsetOf(a.AppendElems32(nil), b), a.SubsetOf(b); got != want {
-			t.Fatalf("SparseSubsetOf disagrees with SubsetOf: got %v want %v", got, want)
-		}
-	}
-}
-
 func TestArena(t *testing.T) {
 	a := NewArena()
 	// Sets from the same slab must be independent.
@@ -238,18 +215,6 @@ func TestArena(t *testing.T) {
 		if s.Len() != 1 || !s.Has(i%128) {
 			t.Fatalf("slab set %d corrupted: %v", i, s)
 		}
-	}
-	// Int32s slices are disjoint and append-safe.
-	p := a.Int32s(4)
-	q := a.Int32s(4)
-	p = append(p, 1, 2, 3, 4)
-	q = append(q, 9)
-	if p[0] != 1 || q[0] != 9 || len(p) != 4 {
-		t.Fatalf("arena int32 slices alias: p=%v q=%v", p, q)
-	}
-	p = append(p, 5) // beyond cap: must reallocate, not scribble on q
-	if q[0] != 9 {
-		t.Fatalf("append past cap corrupted neighbour: q=%v", q)
 	}
 }
 

@@ -10,7 +10,10 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/event"
 	"repro/internal/fa"
+	"repro/internal/learn"
+	"repro/internal/specs"
 	"repro/internal/trace"
+	"repro/internal/xtrace"
 )
 
 // benchContext builds a deterministic random context big enough that the
@@ -91,6 +94,42 @@ func BenchmarkBuild(b *testing.B) {
 			b.Fatal("empty lattice")
 		}
 	}
+}
+
+// BenchmarkAblation_LatticeBuilders compares the incremental (Godin-style)
+// construction against the naive closure-enumeration oracle on the XtFree
+// workload: the spec's scenarios at the evaluation's default seed and
+// scale, under the reference FA sk-strings mines from them.
+func BenchmarkAblation_LatticeBuilders(b *testing.B) {
+	spec, ok := specs.ByName("XtFree")
+	if !ok {
+		b.Fatal("unknown spec XtFree")
+	}
+	set, _ := xtrace.Generator{Model: spec.Model, Seed: 20030407}.ScenarioSet(900)
+	var all []trace.Trace
+	for _, c := range set.Classes() {
+		for j := 0; j < c.Count; j++ {
+			all = append(all, c.Rep)
+		}
+	}
+	ref, err := learn.DefaultLearner.Learn("XtFree-mined", all)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx, err := TraceContext(set.Representatives(), ref.FA)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("Incremental", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			Build(ctx)
+		}
+	})
+	b.Run("Naive", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			BuildNaive(ctx)
+		}
+	})
 }
 
 // BenchmarkLinkCovers isolates Hasse-diagram linking: the lattice is built

@@ -20,17 +20,12 @@ func snapshotBytes(t testing.TB, l *Lattice) []byte {
 	return buf.Bytes()
 }
 
-// TestPropParallelGodinDeterministic pins the tentpole property: the pruned
-// Godin insertion step — serial or parallel at any worker count — produces
-// a lattice byte-identical (WriteSnapshot) to both the Workers=1 pruned
-// build and the retained legacy full-scan build, over randomized corpora
-// spanning the one-word fast path (≤64 attributes) and the general path.
-// parGodinMinCand is forced down so the parallel classify/merge actually
-// runs on test-size candidate sets.
+// TestPropParallelGodinDeterministic pins the pruned Godin insertion step
+// to the full-scan oracle: a build at any worker count (the bound reaches
+// the cover-linking pool) is byte-identical (WriteSnapshot) to buildLegacy,
+// over randomized corpora spanning the one-word fast path (≤64 attributes)
+// and the general path.
 func TestPropParallelGodinDeterministic(t *testing.T) {
-	defer func(mc int) { parGodinMinCand = mc }(parGodinMinCand)
-	parGodinMinCand = 1
-
 	rng := rand.New(rand.NewSource(20260808))
 	iters := 40
 	if testing.Short() {
@@ -47,11 +42,7 @@ func TestPropParallelGodinDeterministic(t *testing.T) {
 			// Past one word: exercises the general (Set-walking) scan.
 			c = randomContext(rng, 30, 100)
 		}
-		legacy, err := BuildCtx(context.Background(), c, WithWorkers(1), withLegacyGodin())
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := snapshotBytes(t, legacy)
+		want := legacySnapshot(t, c)
 		for _, workers := range []int{1, 2, 8} {
 			l, err := BuildCtx(context.Background(), c, WithWorkers(workers))
 			if err != nil {
@@ -70,19 +61,12 @@ func TestPropParallelGodinDeterministic(t *testing.T) {
 // mid-size slice of the >10⁴-class xtrace fixture — real duplicate-row
 // replay territory (thousands of trace classes, few distinct rows).
 func TestParallelGodinDeterministicBigCorpus(t *testing.T) {
-	defer func(mc int) { parGodinMinCand = mc }(parGodinMinCand)
-	parGodinMinCand = 1
-
 	set := bigCorpusClasses(4000)
 	fc, err := TraceContext(set.Representatives(), bigCorpusRef())
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := BuildCtx(context.Background(), fc, WithWorkers(1), withLegacyGodin())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := snapshotBytes(t, legacy)
+	want := legacySnapshot(t, fc)
 	for _, workers := range []int{1, 2, 8} {
 		l, err := BuildCtx(context.Background(), fc, WithWorkers(workers))
 		if err != nil {
@@ -95,11 +79,12 @@ func TestParallelGodinDeterministicBigCorpus(t *testing.T) {
 }
 
 // TestGodinPrunedMatchesLegacy is the pruned-vs-unpruned differential over
-// incremental add sequences: a pruned lattice and a legacy-pinned lattice
-// start from the same prefix context and receive the same rows through
-// AddObjectCtx one at a time, staying byte-identical at every step. This
-// exercises the replay cache, the lazily built inverted index, and the
-// incremental updateTablesAfterAdd against the legacy loop.
+// incremental add sequences: a pruned lattice built over a prefix context
+// receives the remaining rows through AddObjectCtx one at a time, and after
+// every add it is byte-identical to the full-scan build of the grown
+// context, query tables included. This exercises the replay cache, the
+// lazily built inverted index, and the incremental updateTablesAfterAdd
+// against the legacy loop.
 func TestGodinPrunedMatchesLegacy(t *testing.T) {
 	rng := rand.New(rand.NewSource(99173))
 	iters := 30
@@ -108,54 +93,29 @@ func TestGodinPrunedMatchesLegacy(t *testing.T) {
 	}
 	for iter := 0; iter < iters; iter++ {
 		full := randomContext(rng, 30, 20)
-		no := full.NumObjects()
-		base := 1 + rng.Intn(no)
-		prefix := func() *Context {
-			objs := make([]string, base)
-			for i := range objs {
-				objs[i] = fmt.Sprintf("o%d", i)
-			}
-			attrs := make([]string, full.NumAttributes())
-			for i := range attrs {
-				attrs[i] = fmt.Sprintf("a%d", i)
-			}
-			c := NewContext(objs, attrs)
-			for o := 0; o < base; o++ {
-				full.Attributes(o).Range(func(a int) bool {
-					c.Relate(o, a)
-					return true
-				})
-			}
-			return c
-		}
-		pruned, err := BuildCtx(context.Background(), prefix(), WithWorkers(1))
+		base := 1 + rng.Intn(full.NumObjects())
+		pruned, err := BuildCtx(context.Background(), contextPrefix(full, base), WithWorkers(1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		legacy, err := BuildCtx(context.Background(), prefix(), WithWorkers(1), withLegacyGodin())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for o := base; o < no; o++ {
-			name := fmt.Sprintf("o%d", o)
-			if err := pruned.AddObjectCtx(context.Background(), name, full.Attributes(o)); err != nil {
+		for o := base; o < full.NumObjects(); o++ {
+			if err := pruned.AddObjectCtx(context.Background(), "", full.Attributes(o)); err != nil {
 				t.Fatal(err)
 			}
-			if err := legacy.AddObjectCtx(context.Background(), name, full.Attributes(o)); err != nil {
-				t.Fatal(err)
-			}
+			legacy := buildLegacy(pruned.Context().clone())
 			if !bytes.Equal(snapshotBytes(t, pruned), snapshotBytes(t, legacy)) {
-				t.Fatalf("iter %d: pruned and legacy lattices diverge after adding object %d of\n%s",
+				t.Fatalf("iter %d: pruned lattice diverges from the legacy build after adding object %d of\n%s",
 					iter, o, full)
 			}
+			requireByteIdentical(t, pruned, legacy, fmt.Sprintf("iter %d: add object %d", iter, o))
 		}
-		requireByteIdentical(t, pruned, legacy, "pruned vs legacy after adds")
 	}
 }
 
-// BenchmarkParallel publishes the worker-scaling curves of the phases that
-// honor WithWorkers — the Godin insertion scan inside Build, the cover
-// linking pass, and the incremental add. Worker counts are sub-benchmark
+// BenchmarkParallel publishes the worker-scaling curves of WithWorkers: a
+// whole Build (serial Godin insertion, then the cover-linking pool), the
+// cover-linking pass alone, and the incremental add, which the bound does
+// not reach and so is the flat control. Worker counts are sub-benchmark
 // names (w1..w8) so the bench pipeline keys them stably; on a single-core
 // box the curves are flat and only the multi-core lane shows speedup.
 func BenchmarkParallel(b *testing.B) {

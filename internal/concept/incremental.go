@@ -3,7 +3,6 @@ package concept
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 
 	"repro/internal/bitset"
@@ -108,10 +107,6 @@ func (l *Lattice) AddObjectCtx(cc context.Context, name string, row *bitset.Set)
 	}
 	sp := obs.StartSpan("lattice.incr.add")
 	defer sp.End()
-	if l.arena == nil {
-		// Naive-built lattices have no arena; chain one on for growth.
-		l.arena = bitset.NewArena()
-	}
 	l.repsEnsure()
 
 	o := l.ctx.NumObjects()
@@ -119,34 +114,16 @@ func (l *Lattice) AddObjectCtx(cc context.Context, name string, row *bitset.Set)
 	row = l.ctx.Attributes(o) // the context's own copy
 
 	// Godin step: replay exactly the loop iteration BuildCtx would run for
-	// object o — the pruned scan by default, the legacy full scan when the
-	// lattice is pinned to it. Either way the new object joins reps iff its
-	// row is novel, and it must be there before cover repair: candidate
-	// generation is complete only over all distinct rows.
+	// object o. The new object joins reps iff its row is novel, and it must
+	// be there before cover repair: candidate generation is complete only
+	// over all distinct rows.
 	firstNew := len(l.concepts)
-	//cablevet:ignore ctxpropagate one add is atomic: cc was checked before mutation began, and aborting mid-insertion would tear the lattice
-	if l.legacyGodin {
-		scratch := &bitset.Set{}
-		l.godinLegacy(o, row, scratch)
-		key := string(row.AppendKey(nil))
-		if _, dup := l.repRows[key]; !dup {
-			l.repRows[key] = &rowCache{}
-			l.reps = append(l.reps, int32(o))
-		}
-	} else {
-		l.invEnsure()
-		g := l.godin
-		if g == nil {
-			workers := l.workers
-			if workers <= 0 {
-				workers = runtime.GOMAXPROCS(0)
-			}
-			g = &godinScratch{workers: workers}
-			l.godin = g
-		}
-		g.godinWordsEnsure(l)
-		l.godinInsert(o, row, g)
+	l.invEnsure()
+	if l.godin == nil {
+		l.godin = &godinScratch{}
 	}
+	l.godin.godinWordsEnsure(l)
+	l.godinInsert(o, row, l.godin)
 
 	l.repairCoversAfterAdd(firstNew)
 	l.rescanTopBottom()
@@ -353,11 +330,7 @@ func (l *Lattice) RemoveObjectCtx(cc context.Context, o int) error {
 	// update. The copy keeps the lattice intact if the replay is cancelled.
 	nctx := l.ctx.clone()
 	nctx.removeObject(o)
-	opts := []BuildOption{WithWorkers(l.workers)}
-	if l.legacyGodin {
-		opts = append(opts, withLegacyGodin())
-	}
-	nl, err := BuildCtx(cc, nctx, opts...)
+	nl, err := BuildCtx(cc, nctx, WithWorkers(l.workers))
 	if err != nil {
 		return err
 	}
@@ -386,7 +359,6 @@ func (l *Lattice) adopt(nl *Lattice) {
 	if l.cover = nl.cover; l.cover != nil {
 		l.cover.scan.l = l
 	}
-	l.legacyGodin = nl.legacyGodin
 }
 
 // repsEnsure lazily builds the row-representative tables (one object per

@@ -213,8 +213,8 @@ func benchFreshTraces(b *testing.B) []trace.Trace {
 // BenchmarkIncremental measures the incremental lanes against the full
 // rebuild they replace at production corpus scale. AddTrace/Pruned is the
 // streaming-ingestion hot path (the production pruned Godin step);
-// AddTrace/Unpruned keeps the legacy full-scan insertion as the baseline
-// the pruning speedup is read against; AddRemoveTrace restores the corpus
+// AddTrace/Unpruned runs the full-scan oracle (buildLegacy,
+// addObjectLegacy) as the baseline the pruning speedup is read against; AddRemoveTrace restores the corpus
 // every iteration (the remove is the duplicate-row fast path by
 // construction); Rebuild is the baseline the ≥10× acceptance ratio is read
 // against. Those lanes all run a 9-attribute context; Wide/Build and
@@ -228,16 +228,28 @@ func BenchmarkIncremental(b *testing.B) {
 	ref := bigCorpusRef()
 	corpus := bigCorpusClasses(60000).Representatives()
 	fresh := benchFreshTraces(b)
-	build := func(b *testing.B, opts ...BuildOption) *Lattice {
-		l, err := BuildCtx(context.Background(), fc.clone(), append([]BuildOption{WithWorkers(1)}, opts...)...)
+	build := func(b *testing.B) *Lattice {
+		l, err := BuildCtx(context.Background(), fc.clone(), WithWorkers(1))
 		if err != nil {
 			b.Fatal(err)
 		}
 		return l
 	}
-	addLane := func(opts ...BuildOption) func(*testing.B) {
+	// The unpruned lane's add mirrors AddTraceCtx: simulate, then insert.
+	addTraceLegacy := func(l *Lattice, tr trace.Trace) error {
+		executed, ok := ref.Executed(tr)
+		if !ok {
+			return fmt.Errorf("reference rejects %s", tr.Key())
+		}
+		l.addObjectLegacy(tr.ID, executed)
+		return nil
+	}
+	addTrace := func(l *Lattice, tr trace.Trace) error {
+		return l.AddTraceCtx(context.Background(), tr, ref)
+	}
+	addLane := func(build func(*testing.B) *Lattice, add func(*Lattice, trace.Trace) error) func(*testing.B) {
 		return func(b *testing.B) {
-			l := build(b, opts...)
+			l := build(b)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -246,19 +258,19 @@ func BenchmarkIncremental(b *testing.B) {
 				// instead of the marginal add at baseline size.
 				if i > 0 && i%256 == 0 {
 					b.StopTimer()
-					l = build(b, opts...)
+					l = build(b)
 					b.StartTimer()
 				}
 				tr := fresh[i%len(fresh)]
 				tr.ID = fmt.Sprintf("bench-add-%d", i)
-				if err := l.AddTraceCtx(context.Background(), tr, ref); err != nil {
+				if err := add(l, tr); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}
 	}
-	b.Run("AddTrace/Pruned", addLane())
-	b.Run("AddTrace/Unpruned", addLane(withLegacyGodin()))
+	b.Run("AddTrace/Pruned", addLane(build, addTrace))
+	b.Run("AddTrace/Unpruned", addLane(func(*testing.B) *Lattice { return buildLegacy(fc.clone()) }, addTraceLegacy))
 	b.Run("AddRemoveTrace", func(b *testing.B) {
 		l := build(b)
 		base := l.Context().NumObjects()

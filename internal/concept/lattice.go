@@ -59,13 +59,13 @@ type Lattice struct {
 	// reps holds one representative object per distinct context row in
 	// first-occurrence order (the dedup both linkCovers and the pruned Godin
 	// step rely on), and repRows maps each distinct row key to its replay
-	// cache. Maintained incrementally by pruned builds, built lazily by
-	// repsEnsure otherwise; repRows == nil means not built.
+	// cache. Maintained incrementally by builds, built lazily by repsEnsure
+	// otherwise; repRows == nil means not built.
 	reps    []int32
 	repRows map[string]*rowCache
 
 	// inv is the per-attribute inverted concept index the pruned Godin scan
-	// intersects against; nil until a pruned build or invEnsure creates it.
+	// intersects against; nil until a build or invEnsure creates it.
 	inv *invIndex
 	// hdr is the current concept-header slab chunk (see newConcept).
 	hdr []Concept
@@ -75,10 +75,6 @@ type Lattice struct {
 	// build's linkCovers hands it over, repairCoversAfterAdd keeps it in
 	// step.
 	cover *coverCache
-	// legacyGodin pins this lattice to the unpruned full-scan insertion
-	// step, for differential tests and the unpruned benchmark baseline; it
-	// is inherited by incremental maintenance and replay rebuilds.
-	legacyGodin bool
 }
 
 // newConcept appends a concept with the next ID, indexing its intent in idx
@@ -103,22 +99,15 @@ func (l *Lattice) newConcept(extent, intent *bitset.Set) *Concept {
 type BuildOption func(*buildConfig)
 
 type buildConfig struct {
-	workers     int
-	legacyGodin bool
+	workers int
 }
 
-// WithWorkers bounds the worker pool the build's parallel phases (the Godin
-// insertion scan and cover linking) may use. 0 — and omitting the option —
-// means GOMAXPROCS; 1 forces the serial paths.
+// WithWorkers bounds the worker pool of the build's cover-linking pass; the
+// lattice keeps the bound for the replay rebuild an incremental removal may
+// fall back to. The Godin insertion scan is serial. 0 — and omitting the
+// option — means GOMAXPROCS; 1 forces the serial path.
 func WithWorkers(n int) BuildOption {
 	return func(c *buildConfig) { c.workers = n }
-}
-
-// withLegacyGodin forces the unpruned full-scan Godin step. Unexported: it
-// exists for the pruned-vs-legacy differential tests and the unpruned
-// benchmark baseline, not for callers.
-func withLegacyGodin() BuildOption {
-	return func(c *buildConfig) { c.legacyGodin = true }
 }
 
 func applyOptions(opts []BuildOption) buildConfig {
@@ -158,12 +147,9 @@ func BuildCtx(cc context.Context, ctx *Context, opts ...BuildOption) (*Lattice, 
 	sp := obs.StartSpan("lattice.build")
 	defer sp.End()
 	arena := bitset.NewArena()
-	l := &Lattice{ctx: ctx, arena: arena, workers: cfg.workers, legacyGodin: cfg.legacyGodin}
 	numObj, numAttr := ctx.NumObjects(), ctx.NumAttributes()
+	l := &Lattice{ctx: ctx, arena: arena, workers: cfg.workers, inv: newInvIndex(numAttr)}
 	l.idx.initFor(256)
-	if !cfg.legacyGodin {
-		l.inv = newInvIndex(numAttr)
-	}
 
 	// Seed with the bottom concept: intent = all attributes, extent = the
 	// objects (none yet) having all of them. Keeping the bottom in the
@@ -173,37 +159,17 @@ func BuildCtx(cc context.Context, ctx *Context, opts ...BuildOption) (*Lattice, 
 	l.newConcept(arena.Set(numObj, numObj), arena.Set(numAttr, numAttr).FillFull(numAttr))
 
 	done := cc.Done()
-	if cfg.legacyGodin {
-		// The scratch intersection lives on the heap (IntersectEqualsInto's
-		// dst must not alias its operands) and is only materialized into the
-		// arena when it is a novel intent.
-		scratch := &bitset.Set{}
-		for o := 0; o < numObj; o++ {
-			select {
-			case <-done:
-				return nil, cc.Err()
-			default:
-			}
-			l.godinLegacy(o, ctx.Attributes(o), scratch)
+	g := &godinScratch{}
+	l.repRows = make(map[string]*rowCache, numObj)
+	l.reps = make([]int32, 0, numObj)
+	g.godinWordsEnsure(l)
+	for o := 0; o < numObj; o++ {
+		select {
+		case <-done:
+			return nil, cc.Err()
+		default:
 		}
-	} else {
-		workers := cfg.workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		g := &godinScratch{workers: workers, poolWanted: workers > 1}
-		defer g.closePool()
-		l.repRows = make(map[string]*rowCache, numObj)
-		l.reps = make([]int32, 0, numObj)
-		g.godinWordsEnsure(l)
-		for o := 0; o < numObj; o++ {
-			select {
-			case <-done:
-				return nil, cc.Err()
-			default:
-			}
-			l.godinInsert(o, ctx.Attributes(o), g)
-		}
+		l.godinInsert(o, ctx.Attributes(o), g)
 	}
 	if err := l.finalizeCtx(cc, cfg.workers); err != nil {
 		return nil, err
@@ -212,17 +178,10 @@ func BuildCtx(cc context.Context, ctx *Context, opts ...BuildOption) (*Lattice, 
 	return l, nil
 }
 
-// finalize computes the Hasse diagram and the query tables serially; used
-// by builders (BuildNaive) that populate l.concepts directly.
-func (l *Lattice) finalize() {
-	if err := l.finalizeCtx(context.Background(), 1); err != nil {
-		panic("concept: finalize: " + err.Error())
-	}
-}
-
-// finalizeCtx is finalize with cancellation and a worker bound for the
-// cover-linking scan. The intent index is built here if the constructing
-// algorithm did not maintain one incrementally.
+// finalizeCtx computes the Hasse diagram and the query tables, with
+// cancellation and a worker bound for the cover-linking scan. The intent
+// index is built here if the constructing algorithm did not maintain one
+// incrementally.
 func (l *Lattice) finalizeCtx(cc context.Context, workers int) error {
 	if l.idx.n == 0 && len(l.concepts) > 0 {
 		l.idx.initFor(len(l.concepts))
@@ -287,18 +246,6 @@ func tauUpToArena(a *bitset.Arena, ctx *Context, y *bitset.Set, limit int) *bits
 	return out
 }
 
-// Cutoffs for the sparse extent projection linkCovers keeps for the long
-// tail of small concepts over wide object universes: only contexts whose
-// extents span at least sparseMinWords words build projections, and only
-// extents with at most sparseMaxElems elements get one. Both were chosen on
-// BenchmarkLatticeBig (dense subset tests win below ~512 objects; above,
-// iterating ≤48 elements beats sweeping 100+ words). Package variables so
-// property tests can force the sparse path on small contexts.
-var (
-	sparseMinWords = 8
-	sparseMaxElems = 48
-)
-
 // linkChunk is the stride of the parallel cover-linking scan: workers claim
 // chunks of this many concepts from an atomic counter, and cancellation is
 // checked between chunks.
@@ -318,7 +265,7 @@ const linkChunk = 64
 // few subset tests among candidates, versus the all-pairs-plus-dominated
 // scan (cubic in concept count) this replaces.
 //
-// Four refinements over the direct form: (1) only one representative per
+// Three refinements over the direct form: (1) only one representative per
 // distinct context row is scanned — duplicate rows yield identical closures
 // and identical extent membership, so at trace-corpus scale (many traces,
 // few distinct transition sets) the scan shrinks by orders of magnitude;
@@ -326,12 +273,10 @@ const linkChunk = 64
 // is projected onto each representative row through per-attribute
 // postings, so closures are compared as words and only the distinct ones
 // are materialized and looked up (see coverWorker.projectedCands); (3)
-// accepted covers with small extents over wide universes are tested via
-// sparse element lists instead of dense word sweeps; (4) concepts are
-// partitioned across a worker pool — per-concept work touches only
-// read-only shared state, so workers claim chunks from an atomic counter
-// and write disjoint out-slots, making the result bit-identical to the
-// serial scan for any worker count.
+// concepts are partitioned across a worker pool — per-concept work touches
+// only read-only shared state, so workers claim chunks from an atomic
+// counter and write disjoint out-slots, making the result bit-identical to
+// the serial scan for any worker count.
 func (l *Lattice) linkCovers(cc context.Context, workers int) error {
 	sp := obs.StartSpan("lattice.link_covers")
 	defer sp.End()
@@ -351,25 +296,6 @@ func (l *Lattice) linkCovers(cc context.Context, workers int) error {
 		}
 		if sizes[i] < sizes[l.bottom] {
 			l.bottom = i
-		}
-	}
-
-	// Sparse projections of small extents, carved from one slab.
-	if wordsFor(s.numObj) >= sparseMinWords {
-		s.sparse = make([][]int32, n)
-		total := 0
-		for i := range sizes {
-			if int(sizes[i]) <= sparseMaxElems {
-				total += int(sizes[i])
-			}
-		}
-		slab := make([]int32, 0, total)
-		for i, c := range l.concepts {
-			if int(sizes[i]) <= sparseMaxElems {
-				start := len(slab)
-				slab = c.Extent.AppendElems32(slab)
-				s.sparse[i] = slab[start:len(slab):len(slab)]
-			}
 		}
 	}
 
@@ -490,8 +416,7 @@ func (l *Lattice) linkCovers(cc context.Context, workers int) error {
 		}
 	}
 	// Incremental adds repair covers with the same routine; hand them the
-	// scan state, minus the sparse projections of extents an add will grow.
-	s.sparse = nil
+	// scan state.
 	l.cover = &coverCache{scan: s}
 	return nil
 }
@@ -524,9 +449,6 @@ type coverScan struct {
 	// universes.
 	intentWord []uint64
 	repWord    []uint64
-	// sparse[id], when non-nil, lists the elements of a small extent over a
-	// wide object universe for the domination tests.
-	sparse [][]int32
 }
 
 // newCoverScan builds the cover-routine state over the lattice's current
@@ -809,12 +731,7 @@ func (w *coverWorker) minimal(s *coverScan, cand []int32) []int32 {
 		ce := concepts[cj].Extent
 		dominated := false
 		for _, k := range w.block[start:] {
-			if s.sparse != nil && s.sparse[k] != nil {
-				if bitset.SparseSubsetOf(s.sparse[k], ce) {
-					dominated = true
-					break
-				}
-			} else if concepts[k].Extent.SubsetOf(ce) {
+			if concepts[k].Extent.SubsetOf(ce) {
 				dominated = true
 				break
 			}

@@ -32,14 +32,9 @@ func denseRandomContext(rng *rand.Rand, objs, attrs int) *Context {
 // TestPropParallelLinkCoversDeterministic pins the layer-parallel cover
 // scan to the serial one: for any worker count the resulting lattice —
 // concept order, parents, children, top, bottom, query tables — must be
-// identical, including on the sparse-projection domination path (forced
-// here by shrinking the cutoffs, since the test contexts are far below the
-// production sparseMinWords threshold). Run under -race this also checks
-// the pool's only shared writes (disjoint out slots) are clean.
+// identical. Run under -race this also checks the pool's only shared
+// writes (disjoint out slots) are clean.
 func TestPropParallelLinkCoversDeterministic(t *testing.T) {
-	defer func(mw, me int) { sparseMinWords, sparseMaxElems = mw, me }(sparseMinWords, sparseMaxElems)
-	sparseMinWords, sparseMaxElems = 1, 6
-
 	rng := rand.New(rand.NewSource(41))
 	for iter := 0; iter < 8; iter++ {
 		c := denseRandomContext(rng, 40+rng.Intn(20), 14)
@@ -82,13 +77,10 @@ func TestPropParallelLinkCoversDeterministic(t *testing.T) {
 	}
 }
 
-// TestParallelLinkCoversMatchesOracle cross-checks the parallel scan (with
-// sparse projections forced on) against the independent all-pairs oracle,
-// not just against the serial twin.
+// TestParallelLinkCoversMatchesOracle cross-checks the parallel scan
+// against the independent all-pairs oracle, not just against the serial
+// twin.
 func TestParallelLinkCoversMatchesOracle(t *testing.T) {
-	defer func(mw, me int) { sparseMinWords, sparseMaxElems = mw, me }(sparseMinWords, sparseMaxElems)
-	sparseMinWords, sparseMaxElems = 1, 4
-
 	rng := rand.New(rand.NewSource(43))
 	for iter := 0; iter < 5; iter++ {
 		c := denseRandomContext(rng, 45, 13)

@@ -166,21 +166,15 @@ func wideContexts(rng *rand.Rand, n int) []*Context {
 // TestWideBuildMatchesLegacy pins the wide-universe kernels — the
 // row-projected Godin scan and the intent-projected cover kernel — to the
 // unpruned full-scan build, byte for byte, at every worker count, and the
-// covers to the all-pairs oracle. parGodinMinCand is forced down so rows
-// past 64 attributes take the parallel classify/merge path.
+// covers to the all-pairs oracle. Rows past 64 attributes take the serial
+// Set-walking scan.
 func TestWideBuildMatchesLegacy(t *testing.T) {
-	defer func(mc int) { parGodinMinCand = mc }(parGodinMinCand)
-	parGodinMinCand = 1
-
 	iters := 24
 	if testing.Short() {
 		iters = 8
 	}
 	for iter, c := range wideContexts(rand.New(rand.NewSource(20261017)), iters) {
-		legacy, err := BuildCtx(context.Background(), c, WithWorkers(1), withLegacyGodin())
-		if err != nil {
-			t.Fatal(err)
-		}
+		legacy := buildLegacy(c)
 		want := snapshotBytes(t, legacy)
 		for _, workers := range []int{1, 2, 8} {
 			l, err := BuildCtx(context.Background(), c, WithWorkers(workers))
@@ -271,7 +265,7 @@ func TestWidePrefixTreeAddsMatchRebuild(t *testing.T) {
 			}
 			requireByteIdentical(t, l, rebuilt, fmt.Sprintf("workers %d: add %s", workers, tr.ID))
 		}
-		if !bytes.Equal(snapshotBytes(t, l), snapshotBytes(t, mustLegacyBuild(t, l.Context().clone()))) {
+		if !bytes.Equal(snapshotBytes(t, l), legacySnapshot(t, l.Context())) {
 			t.Fatalf("workers %d: lattice after adds differs from the legacy build", workers)
 		}
 	}
@@ -287,15 +281,6 @@ func contextPrefix(c *Context, n int) *Context {
 		})
 	}
 	return out
-}
-
-func mustLegacyBuild(t *testing.T, c *Context) *Lattice {
-	t.Helper()
-	l, err := BuildCtx(context.Background(), c, WithWorkers(1), withLegacyGodin())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return l
 }
 
 // TestProjectedKernelsCover makes sure the fixtures reach the paths they

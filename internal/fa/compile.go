@@ -25,17 +25,17 @@ import (
 //     backward CSR (predecessors per (state, symbol)) drives the backward
 //     pass of Executed.
 //   - Scratch state (frontier bitsets, the per-position forward frontiers,
-//     symbol and key buffers) lives in a sync.Pool, so steady-state
-//     simulation allocates nothing and one Sim can be shared by a worker
-//     pool.
-//   - Executed results are memoized per identical-event trace class (keyed
-//     by trace.Trace.AppendKey), so a class is simulated exactly once no
-//     matter how many duplicate traces replay it; ExecutedAll batches that
-//     dedup over a whole trace slice.
+//     symbol buffers) lives in a sync.Pool, so steady-state simulation
+//     allocates nothing beyond Executed's result and one Sim can be shared
+//     by a worker pool.
+//   - ExecutedAll dedups a trace slice per identical-event class (keyed by
+//     trace.Trace.AppendKey), so each class is simulated once per call. No
+//     result outlives the call that computed it: a long-lived Sim retains
+//     nothing but its tables and its scratch pool.
 //
-// A Sim is immutable after compilation apart from the scratch pool and the
-// memo table, both of which are safe for concurrent use: all methods may be
-// called from multiple goroutines.
+// A Sim is immutable after compilation apart from the scratch pool, which
+// is safe for concurrent use: all methods may be called from multiple
+// goroutines.
 //
 // Obtain a Sim with FA.Sim(), which compiles on first use and caches the
 // plan for the automaton's lifetime.
@@ -69,16 +69,6 @@ type Sim struct {
 	wbT    []int32
 
 	pool sync.Pool // *simScratch
-
-	mu   sync.RWMutex
-	memo map[string]memoEntry // trace class key -> executed set
-}
-
-// memoEntry is one memoized Executed result. The set is shared by every
-// caller and must be treated as read-only.
-type memoEntry struct {
-	set *bitset.Set
-	ok  bool
 }
 
 // simScratch is the reusable per-simulation state. One scratch is checked
@@ -87,7 +77,6 @@ type memoEntry struct {
 type simScratch struct {
 	syms   []int32       // per-event symbol IDs of the current trace (-1 = unknown)
 	evBuf  []byte        // event rendering buffer for symbol lookup
-	keyBuf []byte        // trace class key buffer for memo lookup
 	cur    *bitset.Set   // rolling frontier
 	nxt    *bitset.Set   // rolling frontier
 	bwdCur *bitset.Set   // rolling backward frontier
@@ -126,7 +115,6 @@ func newSim(f *FA) *Sim {
 		interner:  event.NewInterner(),
 		start:     f.start,
 		accept:    f.accept,
-		memo:      make(map[string]memoEntry),
 	}
 	// Intern every non-wildcard label; symOf maps the FA's label IDs to
 	// dense symbol IDs, with -1 marking the wildcard.
@@ -315,8 +303,8 @@ func (s *Sim) RejectsAt(t trace.Trace) int {
 // run of the automaton on the trace — the relation R of Section 3.2 (see
 // FA.Executed). The returned set is fresh and owned by the caller; apart
 // from it, steady-state calls allocate nothing. Callers replaying many
-// duplicate traces should prefer ExecutedShared or ExecutedAll, which
-// memoize per identical-event class.
+// duplicate traces should prefer ExecutedAll, which simulates each
+// identical-event class once.
 func (s *Sim) Executed(t trace.Trace) (*bitset.Set, bool) {
 	sp := obs.StartSpan("fa.executed")
 	defer sp.End()
@@ -328,42 +316,6 @@ func (s *Sim) Executed(t trace.Trace) (*bitset.Set, bool) {
 	if !ok {
 		obs.Count("fa.executed.rejected", 1)
 	}
-	return out, ok
-}
-
-// ExecutedShared is Executed with class-level memoization: the first call
-// for an identical-event trace class simulates it, and every later call —
-// from any goroutine — returns the same cached set with zero allocations.
-// The returned set is shared and must be treated as read-only.
-func (s *Sim) ExecutedShared(t trace.Trace) (*bitset.Set, bool) {
-	sc := s.get()
-	sc.keyBuf = t.AppendKey(sc.keyBuf[:0])
-	s.mu.RLock()
-	e, hit := s.memo[string(sc.keyBuf)]
-	s.mu.RUnlock()
-	if hit {
-		s.put(sc)
-		obs.Count("fa.executed.memo_hits", 1)
-		return e.set, e.ok
-	}
-	sp := obs.StartSpan("fa.executed")
-	obs.Count("fa.executed.events", int64(len(t.Events)))
-	out := bitset.New(len(s.fa.trans))
-	ok := s.executedInto(sc, t, out)
-	sp.End()
-	if !ok {
-		obs.Count("fa.executed.rejected", 1)
-	}
-	s.mu.Lock()
-	if e, again := s.memo[string(sc.keyBuf)]; again {
-		// A racing caller computed the class first; adopt its canonical set
-		// so every member of a class shares one pointer.
-		out, ok = e.set, e.ok
-	} else {
-		s.memo[string(sc.keyBuf)] = memoEntry{set: out, ok: ok}
-	}
-	s.mu.Unlock()
-	s.put(sc)
 	return out, ok
 }
 
@@ -421,10 +373,11 @@ func (s *Sim) executedInto(sc *simScratch, t trace.Trace, out *bitset.Set) bool 
 	return true
 }
 
-// ExecutedAll simulates every trace, memoizing per identical-event class so
-// each class is simulated exactly once: result i is the executed set and
-// acceptance of traces[i], and identical traces share one set pointer. The
-// sets are memo-backed and must be treated as read-only.
+// ExecutedAll simulates every trace, deduplicating per identical-event
+// class so each class is simulated exactly once: result i is the executed
+// set and acceptance of traces[i], and identical traces share one set
+// pointer, so the sets must be treated as read-only. Every call returns
+// fresh sets.
 func (s *Sim) ExecutedAll(traces []trace.Trace) ([]*bitset.Set, []bool) {
 	sets, oks, _ := s.ExecutedAllCtx(context.Background(), traces, 1)
 	return sets, oks
@@ -468,7 +421,7 @@ func (s *Sim) ExecutedAllCtx(ctx context.Context, traces []trace.Trace, workers 
 	repSets := make([]*bitset.Set, len(reps))
 	repOks := make([]bool, len(reps))
 	if err := forEachPar(ctx, len(reps), workers, func(c int) {
-		repSets[c], repOks[c] = s.ExecutedShared(traces[reps[c]])
+		repSets[c], repOks[c] = s.Executed(traces[reps[c]])
 	}); err != nil {
 		return nil, nil, err
 	}

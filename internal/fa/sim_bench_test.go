@@ -62,8 +62,7 @@ func benchTraces(f *FA, n int) []trace.Trace {
 }
 
 // BenchmarkExecuted compares the legacy per-call simulation loop with the
-// compiled plan, and with the memoized shared path on a repeating trace
-// mix. This is the acceptance benchmark for the compiled simulator: the
+// compiled plan on a repeating trace mix. This is the acceptance benchmark for the compiled simulator: the
 // Compiled variant must be >=3x faster and >=10x lighter in allocations
 // than Legacy.
 func BenchmarkExecuted(b *testing.B) {
@@ -81,15 +80,6 @@ func BenchmarkExecuted(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			sim.Executed(traces[i%len(traces)])
-		}
-	})
-	b.Run("Memoized", func(b *testing.B) {
-		sim := f.Sim()
-		sim.ExecutedShared(traces[0]) // prime
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sim.ExecutedShared(traces[i%len(traces)])
 		}
 	})
 }

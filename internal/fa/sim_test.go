@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/event"
 	"repro/internal/obs"
 	"repro/internal/trace"
@@ -68,9 +69,9 @@ func checkSimAgainstLegacy(t *testing.T, f *FA, tc trace.Trace) {
 	if gotOK != wantOK || !gotEx.Equal(wantEx) {
 		t.Fatalf("Sim.Executed(%q) = %s/%v, legacy %s/%v on\n%s", tc.Key(), gotEx, gotOK, wantEx, wantOK, f)
 	}
-	shEx, shOK := sim.ExecutedShared(tc)
-	if shOK != wantOK || !shEx.Equal(wantEx) {
-		t.Fatalf("Sim.ExecutedShared(%q) = %s/%v, legacy %s/%v on\n%s", tc.Key(), shEx, shOK, wantEx, wantOK, f)
+	sets, oks := sim.ExecutedAll([]trace.Trace{tc, tc})
+	if oks[1] != wantOK || !sets[1].Equal(wantEx) || sets[0] != sets[1] {
+		t.Fatalf("Sim.ExecutedAll(%q twice) = %s/%v, legacy %s/%v on\n%s", tc.Key(), sets[1], oks[1], wantEx, wantOK, f)
 	}
 }
 
@@ -244,8 +245,9 @@ func stdioFixtureFA(t testing.TB) *FA {
 }
 
 // TestSimSteadyStateZeroAlloc guards the pooled-scratch fast path: once the
-// plan is compiled and warm, Accepts and RejectsAt allocate nothing, and a
-// memoized ExecutedShared hit allocates nothing. This is the compiled
+// plan is compiled and warm, Accepts and RejectsAt allocate nothing, and
+// Executed allocates its result set and nothing else — exactly what
+// bitset.New of the transition count allocates. This is the compiled
 // analogue of TestExecutedObsZeroAllocOverhead.
 func TestSimSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
@@ -271,15 +273,37 @@ func TestSimSteadyStateZeroAlloc(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("Sim.RejectsAt allocates %.1f per run in steady state, want 0", n)
 	}
-	if _, ok := sim.ExecutedShared(tr); !ok { // prime the memo
-		t.Fatal("trace unexpectedly rejected")
-	}
+	// The sink makes the reference set escape, as Executed's result does.
+	var sink *bitset.Set
+	result := testing.AllocsPerRun(200, func() { sink = bitset.New(f.NumTransitions()) })
+	_ = sink
 	if n := testing.AllocsPerRun(200, func() {
-		if _, ok := sim.ExecutedShared(tr); !ok {
+		if _, ok := sim.Executed(tr); !ok {
 			t.Fatal("trace unexpectedly rejected")
 		}
-	}); n != 0 {
-		t.Errorf("Sim.ExecutedShared memo hit allocates %.1f per run, want 0", n)
+	}); n != result {
+		t.Errorf("Sim.Executed allocates %.1f per run in steady state, want %.1f (the result set)", n, result)
+	}
+}
+
+// TestExecutedAllRetainsNothing pins that a Sim keeps no result across
+// calls: two batches over the same traces get distinct, equal sets, so a
+// long-lived spec automaton does not pin every class it ever simulated.
+func TestExecutedAllRetainsNothing(t *testing.T) {
+	sim := stdioFixtureFA(t).Sim()
+	traces := []trace.Trace{
+		trace.ParseEvents("a", "X = fopen()", "fread(X)", "fclose(X)"),
+		trace.ParseEvents("b", "X = fopen()", "fclose(X)"),
+	}
+	first, _ := sim.ExecutedAll(traces)
+	second, _ := sim.ExecutedAll(traces)
+	for i := range traces {
+		if first[i] == second[i] {
+			t.Errorf("trace %d: two ExecutedAll calls return the same set; the Sim retained it", i)
+		}
+		if !first[i].Equal(second[i]) {
+			t.Errorf("trace %d: ExecutedAll results differ across calls: %s vs %s", i, first[i], second[i])
+		}
 	}
 }
 
@@ -352,9 +376,9 @@ func TestSimSharedAcrossGoroutines(t *testing.T) {
 					errs <- "RejectsAt mismatch"
 					return
 				}
-				ex, ok := sim.ExecutedShared(tc)
+				ex, ok := sim.Executed(tc)
 				if ok != want[i].ok || ex.String() != want[i].executed {
-					errs <- "ExecutedShared mismatch"
+					errs <- "Executed mismatch"
 					return
 				}
 				if round%10 == 0 {

@@ -49,8 +49,8 @@ func (t Trace) Key() string {
 }
 
 // AppendKey appends the bytes of t.Key() to dst and returns the extended
-// slice. Identical traces append equal bytes. Hot paths that dedup or
-// memoize per identical-event class (e.g. fa.Sim) reuse one buffer across
+// slice. Identical traces append equal bytes. Hot paths that dedup per
+// identical-event class (e.g. fa.Sim.ExecutedAll) reuse one buffer across
 // calls and look classes up with string(buf), which the compiler optimizes
 // to an allocation-free map access.
 func (t Trace) AppendKey(dst []byte) []byte {

@@ -63,8 +63,9 @@ go test -run '^$' -bench 'BenchmarkLatticeBig' \
 to_json < "$TMP_BIG" > BENCH_lattice_big.json
 echo "wrote BENCH_lattice_big.json"
 
-# The compiled FA simulator (legacy loop vs compiled plan vs memoized
-# classes) and the trace-context construction that rides on it.
+# The compiled FA simulator (legacy loop vs compiled plan, per trace and
+# per class-deduplicated batch) and the trace-context construction that
+# rides on it.
 go test -run '^$' -bench 'BenchmarkExecuted$|BenchmarkExecutedAll|BenchmarkAccepts' \
     -benchmem -benchtime "$BENCHTIME" ./internal/fa | tee -a "$TMP_FA"
 go test -run '^$' -bench 'BenchmarkTraceContext' \
@@ -96,9 +97,10 @@ to_json < "$TMP_STREAM" > BENCH_stream.json
 echo "wrote BENCH_stream.json"
 
 # The multi-core lane: worker-scaling curves (1/2/4/8 workers as w1..w8
-# sub-benchmarks) for the phases that honor WithWorkers — the Godin
-# insertion scan inside Build, cover linking, and the incremental add. The
-# speedup only shows on a multi-core box, so the lane raises GOMAXPROCS to
+# sub-benchmarks) for WithWorkers, which bounds the cover-linking pool: a
+# whole Build, cover linking alone, and the incremental add (which the
+# bound does not reach, so its curve is the flat control). The speedup
+# only shows on a multi-core box, so the lane raises GOMAXPROCS to
 # at least 8 when the hardware has the cores; on the 1-core reference
 # container the curves are flat and only the determinism property is
 # exercised (the file is still written so BENCH_summary.json is stable).
