@@ -22,7 +22,6 @@
 package analysistest
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"os/exec"
@@ -131,15 +130,4 @@ func collectWants(t *testing.T, fset *token.FileSet, files []*ast.File) []*expec
 		}
 	}
 	return out
-}
-
-// Fprint is a debugging helper: it renders diagnostics one per line as
-// "file:line: analyzer: message". Tests use it in failure output.
-func Fprint(fset *token.FileSet, diags []analysis.Diagnostic) string {
-	var b strings.Builder
-	for _, d := range diags {
-		p := d.Position(fset)
-		fmt.Fprintf(&b, "%s:%d: %s: %s\n", p.Filename, p.Line, d.Analyzer, d.Message)
-	}
-	return b.String()
 }

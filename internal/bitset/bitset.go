@@ -54,23 +54,6 @@ func FromSlice(elems []int) *Set {
 	return s
 }
 
-// Full returns the set {0, 1, ..., n-1}. It fills whole words at a time,
-// replacing the O(n) Add loop callers previously used to build universe
-// sets.
-func Full(n int) *Set {
-	if n <= 0 {
-		return &Set{}
-	}
-	words := make([]uint64, (n+wordBits-1)/wordBits)
-	for i := range words {
-		words[i] = ^uint64(0)
-	}
-	if r := n % wordBits; r != 0 {
-		words[len(words)-1] = (1 << uint(r)) - 1
-	}
-	return &Set{words: words, pop: int32(n) + 1}
-}
-
 // FillFull makes s equal to {0, ..., n-1}, reusing s's storage when it is
 // large enough. It returns s.
 func (s *Set) FillFull(n int) *Set {
@@ -193,18 +176,6 @@ func (s *Set) Add(i int) {
 	s.pop = 0
 }
 
-// Remove deletes i from the set; removing an absent element is a no-op.
-func (s *Set) Remove(i int) {
-	if i < 0 {
-		return
-	}
-	w := i / wordBits
-	if w < len(s.words) {
-		s.words[w] &^= 1 << uint(i%wordBits)
-		s.pop = 0
-	}
-}
-
 // Has reports whether i is in the set.
 func (s *Set) Has(i int) bool {
 	if i < 0 {
@@ -254,16 +225,6 @@ func (s *Set) Clear() {
 		s.words[i] = 0
 	}
 	s.pop = 1
-}
-
-// trim drops trailing zero words so that structurally equal sets compare
-// equal regardless of construction history.
-func (s *Set) trim() {
-	n := len(s.words)
-	for n > 0 && s.words[n-1] == 0 {
-		n--
-	}
-	s.words = s.words[:n]
 }
 
 // UnionWith adds every element of t to s.
@@ -353,11 +314,6 @@ func (s *Set) SubsetOf(t *Set) bool {
 	return true
 }
 
-// ProperSubsetOf reports whether s ⊂ t strictly.
-func (s *Set) ProperSubsetOf(t *Set) bool {
-	return s.SubsetOf(t) && !s.Equal(t)
-}
-
 // Intersects reports whether s and t share at least one element.
 func (s *Set) Intersects(t *Set) bool {
 	n := len(s.words)
@@ -421,28 +377,6 @@ func (s *Set) LoadWords(ws []uint64) {
 	s.pop = 0
 }
 
-// RemoveShift deletes i and renumbers every element greater than i down by
-// one, so the set over universe {0..n-1} becomes the corresponding set over
-// {0..n-2}. It is the extent/column update for removing one object from a
-// formal context. Negative or out-of-range i is a no-op.
-func (s *Set) RemoveShift(i int) {
-	if i < 0 {
-		return
-	}
-	w := i / wordBits
-	if w >= len(s.words) {
-		return
-	}
-	keep := uint64(1)<<uint(i%wordBits) - 1
-	cur := s.words[w]
-	s.words[w] = (cur & keep) | ((cur >> 1) &^ keep)
-	for k := w + 1; k < len(s.words); k++ {
-		s.words[k-1] |= s.words[k] << (wordBits - 1)
-		s.words[k] >>= 1
-	}
-	s.pop = 0
-}
-
 // Range calls f on each element in increasing order; if f returns false the
 // iteration stops early.
 func (s *Set) Range(f func(i int) bool) {
@@ -455,16 +389,6 @@ func (s *Set) Range(f func(i int) bool) {
 			w &^= 1 << uint(b)
 		}
 	}
-}
-
-// Min returns the smallest element, or -1 if the set is empty.
-func (s *Set) Min() int {
-	for wi, w := range s.words {
-		if w != 0 {
-			return wi*wordBits + bits.TrailingZeros64(w)
-		}
-	}
-	return -1
 }
 
 // Key returns a string usable as a map key identifying the set's contents.

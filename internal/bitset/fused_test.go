@@ -24,9 +24,8 @@ func TestIntersectEqualsInto(t *testing.T) {
 		t.Fatalf("dst = %v, want %v", dst, Intersect(a, b))
 	}
 	// a wider than b, extra words all zero vs holding elements.
-	wide := FromSlice([]int{2})
-	wide.Add(500)
-	wide.Remove(500) // trailing zero words
+	wide := New(501) // trailing zero words
+	wide.Add(2)
 	if !IntersectEqualsInto(dst, wide, FromSlice([]int{2, 9})) {
 		t.Fatalf("trailing zero words should not break subset verdict")
 	}
@@ -53,9 +52,7 @@ func TestQuickIntersectEqualsIntoMatchesNaive(t *testing.T) {
 
 func TestHashStructural(t *testing.T) {
 	a := FromSlice([]int{1, 70, 200})
-	b := &Set{}
-	b.Add(900)
-	b.Remove(900) // trailing zero words
+	b := New(901) // trailing zero words
 	b.Add(200)
 	b.Add(1)
 	b.Add(70)
@@ -109,10 +106,6 @@ func TestLenCache(t *testing.T) {
 	if s.Len() != 5 {
 		t.Fatalf("Len after Add = %d, want 5", s.Len())
 	}
-	s.Remove(63)
-	if s.Len() != 4 {
-		t.Fatalf("Len after Remove = %d, want 4", s.Len())
-	}
 	s.IntersectWith(FromSlice([]int{0, 5}))
 	if s.Len() != 2 {
 		t.Fatalf("Len after IntersectWith = %d, want 2", s.Len())
@@ -129,8 +122,8 @@ func TestLenCache(t *testing.T) {
 	if s.Len() != 0 {
 		t.Fatalf("Len after Clear = %d, want 0", s.Len())
 	}
-	if Full(129).Len() != 129 {
-		t.Fatalf("Full(129).Len = %d", Full(129).Len())
+	if n := (&Set{}).FillFull(129).Len(); n != 129 {
+		t.Fatalf("FillFull(129).Len = %d", n)
 	}
 	c := FromSlice([]int{9, 90}).Clone()
 	if c.Len() != 2 {

@@ -5,35 +5,16 @@ import (
 	"testing"
 )
 
-func TestFull(t *testing.T) {
-	for _, n := range []int{0, 1, 63, 64, 65, 128, 200} {
-		s := Full(n)
-		if s.Len() != n {
-			t.Errorf("Full(%d).Len() = %d", n, s.Len())
-		}
-		if n > 0 && (!s.Has(0) || !s.Has(n-1) || s.Has(n)) {
-			t.Errorf("Full(%d) has wrong membership at the edges", n)
-		}
-		// Must agree with the Add-loop construction it replaces.
+func TestFillFull(t *testing.T) {
+	s := FromSlice([]int{5, 200})
+	for _, n := range []int{70, 3, 0, 129, 64, 1} {
+		s.FillFull(n)
 		ref := New(n)
 		for i := 0; i < n; i++ {
 			ref.Add(i)
 		}
-		if !s.Equal(ref) {
-			t.Errorf("Full(%d) != Add loop", n)
-		}
-	}
-	if Full(-3).Len() != 0 {
-		t.Error("Full of negative n not empty")
-	}
-}
-
-func TestFillFull(t *testing.T) {
-	s := FromSlice([]int{5, 200})
-	for _, n := range []int{70, 3, 0, 129} {
-		s.FillFull(n)
-		if !s.Equal(Full(n)) {
-			t.Errorf("FillFull(%d) != Full(%d): %s", n, n, s)
+		if !s.Equal(ref) || s.Len() != n {
+			t.Errorf("FillFull(%d) != Add loop: %s", n, s)
 		}
 	}
 }
@@ -71,9 +52,8 @@ func TestAppendKey(t *testing.T) {
 			t.Fatalf("AppendKey clobbered the prefix")
 		}
 		// Trailing zero words never change the key.
-		padded := s.Clone()
-		padded.Add(1000)
-		padded.Remove(1000)
+		padded := New(1001)
+		padded.UnionWith(s)
 		if padded.Key() != s.Key() {
 			t.Fatalf("key not canonical under trailing zero words")
 		}
@@ -102,24 +82,6 @@ func benchSets(n int) (*Set, *Set) {
 		}
 	}
 	return a, b
-}
-
-func BenchmarkBitsetFull(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if Full(512).Len() != 512 {
-			b.Fatal("wrong")
-		}
-	}
-}
-
-func BenchmarkBitsetFullAddLoop(b *testing.B) {
-	// The construction Full replaces.
-	for i := 0; i < b.N; i++ {
-		s := New(512)
-		for j := 0; j < 512; j++ {
-			s.Add(j)
-		}
-	}
 }
 
 func BenchmarkBitsetIntersect(b *testing.B) {

@@ -290,12 +290,4 @@ func BenchmarkLatticeQueries(b *testing.B) {
 			l.AttributeConcept(i % numAttr)
 		}
 	})
-	b.Run("Find/Indexed", func(b *testing.B) {
-		b.ReportAllocs()
-		numObj := l.Context().NumObjects()
-		x := bitset.FromSlice([]int{0, numObj / 2, numObj - 1})
-		for i := 0; i < b.N; i++ {
-			l.Find(x)
-		}
-	})
 }

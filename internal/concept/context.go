@@ -100,16 +100,6 @@ func (c *Context) addObject(name string, row *bitset.Set) {
 	})
 }
 
-// removeObject deletes object o, renumbering every later object down by
-// one in both the row table and the attribute columns.
-func (c *Context) removeObject(o int) {
-	c.objNames = append(c.objNames[:o], c.objNames[o+1:]...)
-	c.rows = append(c.rows[:o], c.rows[o+1:]...)
-	for _, col := range c.cols {
-		col.RemoveShift(o)
-	}
-}
-
 // clone returns an independent deep copy of the context.
 func (c *Context) clone() *Context {
 	out := &Context{
@@ -164,11 +154,6 @@ func (c *Context) TauInto(dst, y *bitset.Set) *bitset.Set {
 // objects of X (Section 3.1). Smaller concepts deeper in the lattice have
 // higher similarity.
 func (c *Context) Similarity(x *bitset.Set) int { return c.Sigma(x).Len() }
-
-// IsConcept reports whether (extent, intent) is a formal concept of c.
-func (c *Context) IsConcept(extent, intent *bitset.Set) bool {
-	return c.Sigma(extent).Equal(intent) && c.Tau(intent).Equal(extent)
-}
 
 // String renders the context as a cross table (objects as rows).
 func (c *Context) String() string {

@@ -50,7 +50,7 @@ func ExampleBuildFromTraces() {
 	}
 	// v1 and v2 share the popen and pclose transitions, so some concept
 	// holds exactly those two traces.
-	id, _ := lattice.Find(bitset.FromSlice([]int{0, 1}))
+	id, _ := lattice.Join(lattice.ObjectConcept(0), lattice.ObjectConcept(1))
 	fmt.Println("popen concept extent:", lattice.Concept(id).Extent)
 	// Output:
 	// popen concept extent: {0, 1}

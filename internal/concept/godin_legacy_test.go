@@ -34,7 +34,7 @@ func (l *Lattice) godinLegacy(o int, row *bitset.Set, scratch *bitset.Set) {
 func buildLegacy(c *Context) *Lattice {
 	arena := bitset.NewArena()
 	numObj, numAttr := c.NumObjects(), c.NumAttributes()
-	l := &Lattice{ctx: c, arena: arena, workers: 1}
+	l := &Lattice{ctx: c, arena: arena}
 	l.idx.initFor(256)
 	l.newConcept(arena.Set(numObj, numObj), arena.Set(numAttr, numAttr).FillFull(numAttr))
 	scratch := &bitset.Set{}

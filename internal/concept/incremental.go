@@ -11,16 +11,16 @@ import (
 	"repro/internal/trace"
 )
 
-// This file implements incremental lattice maintenance: adding or removing
-// one object of a live lattice without rebuilding it, with results pinned
-// byte-identical to a full BuildCtx rebuild over the updated context.
+// This file implements incremental lattice maintenance: adding one object
+// to a live lattice without rebuilding it, with results pinned
+// byte-identical to a full BuildCtx rebuild over the extended context.
 //
-// Adding is the easy direction, and it is the one the paper's own choice of
-// Godin et al.'s Algorithm 1 buys us: BuildCtx inserts objects one at a
-// time, so adding object n to a lattice over objects 0..n-1 replays exactly
-// the loop iteration the full rebuild would run next — the concept set,
-// concept IDs, and extents come out identical by construction. Only the
-// cover edges and the query tables need repair.
+// The paper's own choice of Godin et al.'s Algorithm 1 makes this cheap:
+// BuildCtx inserts objects one at a time, so adding object n to a lattice
+// over objects 0..n-1 replays exactly the loop iteration the full rebuild
+// would run next — the concept set, concept IDs, and extents come out
+// identical by construction. Only the cover edges and the query tables
+// need repair.
 //
 // Covers. An add never changes the order among old concepts: c ≤ d iff
 // intent(d) ⊆ intent(c), and intents are immutable. So when the new row
@@ -38,13 +38,6 @@ import (
 // This costs a few subset tests where recomputing c's covers from the row
 // representatives cost a closure lookup per representative — ~340 of them
 // for the bottom concept of a prefix-tree reference, on every add.
-//
-// Removal is not order-stable in general — deleting an early object can
-// flip the discovery order of later concepts and hence their IDs — so only
-// the duplicate-row case (the common one at trace scale, where many trace
-// classes share an executed-transition set) is updated in place; all other
-// removals fall back to an in-place replay of the build over the spliced
-// context, which is trivially byte-identical.
 //
 // Incremental mutation is not safe concurrently with queries; callers
 // (cable sessions, the server) serialize access per lattice.
@@ -72,13 +65,6 @@ func (l *Lattice) AddTraceCtx(cc context.Context, t trace.Trace, ref *fa.FA) err
 		name = fmt.Sprintf("t%d", l.ctx.NumObjects())
 	}
 	return l.AddObjectCtx(cc, name, executed)
-}
-
-// RemoveTraceCtx removes the trace-class object with the given index,
-// renumbering later objects down by one. It is RemoveObjectCtx under the
-// trace-corpus vocabulary.
-func (l *Lattice) RemoveTraceCtx(cc context.Context, o int) error {
-	return l.RemoveObjectCtx(cc, o)
 }
 
 // AddObjectCtx appends one object with the given attribute row, updating
@@ -282,85 +268,6 @@ func (l *Lattice) rescanTopBottom() {
 	}
 }
 
-// RemoveObjectCtx deletes object o from the context and the lattice,
-// renumbering later objects down by one. When o duplicates an earlier
-// object's row the lattice is updated in place — no concept was born at o,
-// so extents just shift and the diagram is untouched; otherwise the build
-// is replayed over the spliced context (removal is not order-stable in
-// general) and the result adopted under the same Lattice pointer. Either
-// way the outcome is byte-identical to a full rebuild. On error (including
-// cancellation mid-replay) the lattice is unchanged.
-func (l *Lattice) RemoveObjectCtx(cc context.Context, o int) error {
-	if err := cc.Err(); err != nil {
-		return err
-	}
-	if o < 0 || o >= l.ctx.NumObjects() {
-		return fmt.Errorf("concept: object %d out of range (%d objects)", o, l.ctx.NumObjects())
-	}
-	sp := obs.StartSpan("lattice.incr.remove")
-	defer sp.End()
-	l.repsEnsure()
-	if !l.isRep(o) {
-		// Duplicate-row fast path: an earlier object o' < o has the same
-		// row, so no concept was discovered at o (the concept set before o
-		// was already closed under intersection with this row) and the
-		// replayed build visits the same intents in the same order. Extents
-		// lose o and renumber; the cover edges, IDs, and top/bottom are
-		// unchanged.
-		l.ctx.removeObject(o)
-		//cablevet:ignore ctxpropagate one remove is atomic: cc was checked before mutation began, and aborting mid-loop would tear the lattice
-		for _, c := range l.concepts {
-			c.Extent.RemoveShift(o)
-		}
-		//cablevet:ignore ctxpropagate same atomic-remove argument as the extent loop above
-		for i, r := range l.reps {
-			if int(r) > o {
-				l.reps[i] = r - 1
-			}
-		}
-		l.rescanTopBottom()
-		// γo splices out. μa is unchanged: o's twin stays in every column
-		// o leaves, so each σ(τ({a})) keeps the same rows.
-		l.objConcept = append(l.objConcept[:o], l.objConcept[o+1:]...)
-		obs.Count("lattice.incr.removes", 1)
-		return nil
-	}
-	// General path: replay the build over a spliced copy of the context and
-	// adopt the result in place, so callers holding the *Lattice see the
-	// update. The copy keeps the lattice intact if the replay is cancelled.
-	nctx := l.ctx.clone()
-	nctx.removeObject(o)
-	nl, err := BuildCtx(cc, nctx, WithWorkers(l.workers))
-	if err != nil {
-		return err
-	}
-	l.adopt(nl)
-	obs.Count("lattice.incr.removes", 1)
-	return nil
-}
-
-// adopt replaces l's entire state with nl's, keeping l's pointer identity.
-func (l *Lattice) adopt(nl *Lattice) {
-	l.ctx = nl.ctx
-	l.concepts = nl.concepts
-	l.parents = nl.parents
-	l.children = nl.children
-	l.top = nl.top
-	l.bottom = nl.bottom
-	l.idx = nl.idx
-	l.objConcept = nl.objConcept
-	l.attrConcept = nl.attrConcept
-	l.arena = nl.arena
-	l.workers = nl.workers
-	l.reps, l.repRows = nl.reps, nl.repRows
-	l.inv = nl.inv
-	l.hdr = nl.hdr
-	l.godin = nil // intent-word cache indexes the old concept set
-	if l.cover = nl.cover; l.cover != nil {
-		l.cover.scan.l = l
-	}
-}
-
 // repsEnsure lazily builds the row-representative tables (one object per
 // distinct context row, first-occurrence order). Replay caches start empty
 // (upTo 0): the first repeat of each row folds the existing concepts in.
@@ -380,13 +287,6 @@ func (l *Lattice) repsEnsure() {
 		l.repRows[string(keyBuf)] = &rowCache{}
 		l.reps = append(l.reps, int32(o))
 	}
-}
-
-// isRep reports whether o is the first occurrence of its row. reps is
-// ascending, so this is a binary search.
-func (l *Lattice) isRep(o int) bool {
-	i := sort.Search(len(l.reps), func(i int) bool { return int(l.reps[i]) >= o })
-	return i < len(l.reps) && int(l.reps[i]) == o
 }
 
 // insertSortedInt inserts x into ascending xs, keeping it sorted. xs slices

@@ -1,6 +1,7 @@
 package concept
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -12,13 +13,17 @@ import (
 	"repro/internal/xtrace"
 )
 
-// requireByteIdentical asserts that every table of got matches want
-// exactly — concept IDs, extents, intents, cover edges (including the
-// nil/empty distinction DeepEqual sees), top/bottom, and the query tables.
-// This is the "differentially pinned against full rebuild" contract of the
-// incremental maintenance paths.
+// requireByteIdentical asserts that got's WriteSnapshot bytes equal
+// want's and that every table of got matches want exactly — concept IDs,
+// extents, intents, cover edges (including the nil/empty distinction
+// DeepEqual sees), top/bottom, and the query tables. This is the
+// "differentially pinned against full rebuild" contract of incremental
+// adds.
 func requireByteIdentical(t *testing.T, got, want *Lattice, msg string) {
 	t.Helper()
+	if !bytes.Equal(snapshotBytes(t, got), snapshotBytes(t, want)) {
+		t.Fatalf("%s: snapshot differs from rebuild", msg)
+	}
 	if got.Len() != want.Len() {
 		t.Fatalf("%s: %d concepts, rebuild has %d", msg, got.Len(), want.Len())
 	}
@@ -46,40 +51,34 @@ func requireByteIdentical(t *testing.T, got, want *Lattice, msg string) {
 	}
 }
 
-// TestIncrementalMatchesRebuildSmall drives dense random add/remove
-// sequences on small random contexts, pinning the lattice against a full
-// rebuild after every single operation. Small universes hit every path
-// hard: duplicate rows, novel rows, new top concepts, removals of both
-// representative and duplicate objects, and shrinking to zero objects.
+// TestIncrementalMatchesRebuildSmall drives dense random add sequences on
+// small random contexts, pinning the lattice against a full rebuild after
+// every single add. Small universes hit every path hard: duplicate rows,
+// novel rows, new top concepts, and, every tenth iteration, adds to a
+// context that starts with no objects.
 func TestIncrementalMatchesRebuildSmall(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	for iter := 0; iter < 120; iter++ {
 		c := randomContext(rng, 8, 6)
+		if iter%10 == 0 {
+			c = contextPrefix(c, 0)
+		}
 		l := Build(c)
 		for step := 0; step < 12; step++ {
-			var msg string
-			if rng.Intn(2) == 0 || l.Context().NumObjects() == 0 {
-				na := l.Context().NumAttributes()
-				row := bitset.New(na)
-				if n := l.Context().NumObjects(); n > 0 && rng.Intn(3) == 0 {
-					row = l.Context().Attributes(rng.Intn(n)).Clone()
-				} else {
-					for a := 0; a < na; a++ {
-						if rng.Intn(3) == 0 {
-							row.Add(a)
-						}
+			na := l.Context().NumAttributes()
+			row := bitset.New(na)
+			if n := l.Context().NumObjects(); n > 0 && rng.Intn(3) == 0 {
+				row = l.Context().Attributes(rng.Intn(n)).Clone()
+			} else {
+				for a := 0; a < na; a++ {
+					if rng.Intn(3) == 0 {
+						row.Add(a)
 					}
 				}
-				msg = fmt.Sprintf("iter %d step %d: add %s", iter, step, row)
-				if err := l.AddObjectCtx(context.Background(), fmt.Sprintf("x%d.%d", iter, step), row); err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				o := rng.Intn(l.Context().NumObjects())
-				msg = fmt.Sprintf("iter %d step %d: remove %d", iter, step, o)
-				if err := l.RemoveObjectCtx(context.Background(), o); err != nil {
-					t.Fatal(err)
-				}
+			}
+			msg := fmt.Sprintf("iter %d step %d: add %s", iter, step, row)
+			if err := l.AddObjectCtx(context.Background(), fmt.Sprintf("x%d.%d", iter, step), row); err != nil {
+				t.Fatal(err)
 			}
 			rebuilt, err := BuildCtx(context.Background(), l.Context().clone(), WithWorkers(1))
 			if err != nil {
@@ -91,10 +90,10 @@ func TestIncrementalMatchesRebuildSmall(t *testing.T) {
 	}
 }
 
-// TestIncrementalMatchesRebuild is the production-scale pin: random
-// add/remove sequences on the >10⁴-class xtrace corpus, compared table by
-// table against a full rebuild after every operation, for both a serial
-// and a parallel build configuration.
+// TestIncrementalMatchesRebuild is the production-scale pin: seven adds
+// (fresh classes and duplicate rows) on the >10⁴-class xtrace corpus,
+// compared against a full rebuild after every add, for both a serial and a
+// parallel build configuration.
 func TestIncrementalMatchesRebuild(t *testing.T) {
 	if testing.Short() {
 		t.Skip("big corpus incremental pin under -short")
@@ -122,45 +121,36 @@ func TestIncrementalMatchesRebuild(t *testing.T) {
 					t.Fatal(err)
 				}
 				requireByteIdentical(t, l, rebuilt, msg)
+				checkLatticeInvariants(t, l)
 			}
-			// Three adds: fresh classes from a different generator seed.
-			for i := 0; i < 3; i++ {
-				tr := fresh[rng.Intn(len(fresh))]
+			add := func(tr trace.Trace, msg string) {
+				t.Helper()
 				if err := l.AddTraceCtx(context.Background(), tr, ref); err != nil {
 					t.Fatal(err)
 				}
-				pin(fmt.Sprintf("add fresh class %q", tr.ID))
+				pin(msg)
 			}
-			// A guaranteed duplicate-row add: re-adding an existing
-			// representative must spawn no concepts, and removing it again
-			// must take the in-place fast path.
-			dup := corpus[rng.Intn(len(corpus))]
-			if err := l.AddTraceCtx(context.Background(), dup, ref); err != nil {
-				t.Fatal(err)
+			// Three adds: fresh classes from a different generator seed.
+			var added []trace.Trace
+			for i := 0; i < 3; i++ {
+				tr := fresh[rng.Intn(len(fresh))]
+				add(tr, fmt.Sprintf("add fresh class %q", tr.ID))
+				added = append(added, tr)
 			}
-			pin("add duplicate-row class")
-			dupIdx := l.Context().NumObjects() - 1
-			l.repsEnsure()
-			if l.isRep(dupIdx) {
-				t.Fatalf("duplicate-row object %d became a row representative", dupIdx)
+			// Duplicate-row adds: re-adding a corpus representative or a
+			// class this test just added must spawn no concepts.
+			for _, dup := range []trace.Trace{corpus[rng.Intn(len(corpus))], added[rng.Intn(len(added))]} {
+				n := l.Len()
+				add(dup, fmt.Sprintf("add duplicate-row class %q", dup.ID))
+				if l.Len() != n {
+					t.Fatalf("duplicate-row class %q spawned %d concepts", dup.ID, l.Len()-n)
+				}
 			}
-			if err := l.RemoveTraceCtx(context.Background(), dupIdx); err != nil {
-				t.Fatal(err)
+			// Two more fresh classes on top of the duplicates.
+			for i := 0; i < 2; i++ {
+				tr := fresh[rng.Intn(len(fresh))]
+				add(tr, fmt.Sprintf("add fresh class %q after duplicates", tr.ID))
 			}
-			pin("remove duplicate-row class (fast path)")
-			// A representative removal: forces the replay path.
-			l.repsEnsure()
-			repIdx := int(l.reps[rng.Intn(len(l.reps))])
-			if err := l.RemoveTraceCtx(context.Background(), repIdx); err != nil {
-				t.Fatal(err)
-			}
-			pin(fmt.Sprintf("remove representative %d (replay path)", repIdx))
-			// And one random removal.
-			o := rng.Intn(l.Context().NumObjects())
-			if err := l.RemoveTraceCtx(context.Background(), o); err != nil {
-				t.Fatal(err)
-			}
-			pin(fmt.Sprintf("remove random object %d", o))
 		})
 	}
 }
@@ -214,10 +204,8 @@ func benchFreshTraces(b *testing.B) []trace.Trace {
 // rebuild they replace at production corpus scale. AddTrace/Pruned is the
 // streaming-ingestion hot path (the production pruned Godin step);
 // AddTrace/Unpruned runs the full-scan oracle (buildLegacy,
-// addObjectLegacy) as the baseline the pruning speedup is read against; AddRemoveTrace restores the corpus
-// every iteration (the remove is the duplicate-row fast path by
-// construction); Rebuild is the baseline the ≥10× acceptance ratio is read
-// against. Those lanes all run a 9-attribute context; Wide/Build and
+// addObjectLegacy) as the baseline the pruning speedup is read against;
+// Rebuild is the baseline the ≥10× acceptance ratio is read against. Those lanes all run a 9-attribute context; Wide/Build and
 // Wide/AddTrace run the thousands-of-attributes prefix-tree context that
 // the wide-universe kernels serve (benchWide).
 func BenchmarkIncremental(b *testing.B) {
@@ -226,7 +214,6 @@ func BenchmarkIncremental(b *testing.B) {
 		b.Fatal(err)
 	}
 	ref := bigCorpusRef()
-	corpus := bigCorpusClasses(60000).Representatives()
 	fresh := benchFreshTraces(b)
 	build := func(b *testing.B) *Lattice {
 		l, err := BuildCtx(context.Background(), fc.clone(), WithWorkers(1))
@@ -271,22 +258,6 @@ func BenchmarkIncremental(b *testing.B) {
 	}
 	b.Run("AddTrace/Pruned", addLane(build, addTrace))
 	b.Run("AddTrace/Unpruned", addLane(func(*testing.B) *Lattice { return buildLegacy(fc.clone()) }, addTraceLegacy))
-	b.Run("AddRemoveTrace", func(b *testing.B) {
-		l := build(b)
-		base := l.Context().NumObjects()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			tr := corpus[i%len(corpus)]
-			tr.ID = fmt.Sprintf("bench-cycle-%d", i)
-			if err := l.AddTraceCtx(context.Background(), tr, ref); err != nil {
-				b.Fatal(err)
-			}
-			if err := l.RemoveTraceCtx(context.Background(), base); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("Rebuild", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

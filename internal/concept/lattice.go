@@ -38,7 +38,7 @@ type Lattice struct {
 	bottom   int
 
 	// idx maps intents to concept IDs by hashing bitset words directly; it
-	// backs byIntent so Meet, Join, and Find are hash lookups instead of
+	// backs byIntent so Meet and Join are hash lookups instead of
 	// linear scans, with no key-byte materialization.
 	idx intentIndex
 	// objConcept[o] is γo (ObjectConcept), attrConcept[a] is μa
@@ -51,10 +51,6 @@ type Lattice struct {
 	// sets must not outlive the lattice (see bitset.Arena and the cablevet
 	// poolarena check).
 	arena *bitset.Arena
-
-	// workers is the worker bound the lattice was built with; incremental
-	// removals that fall back to an in-place replay rebuild reuse it.
-	workers int
 
 	// reps holds one representative object per distinct context row in
 	// first-occurrence order (the dedup both linkCovers and the pruned Godin
@@ -103,9 +99,8 @@ type buildConfig struct {
 }
 
 // WithWorkers bounds the worker pool of the build's cover-linking pass; the
-// lattice keeps the bound for the replay rebuild an incremental removal may
-// fall back to. The Godin insertion scan is serial. 0 — and omitting the
-// option — means GOMAXPROCS; 1 forces the serial path.
+// Godin insertion scan is serial. 0 — and omitting the option — means
+// GOMAXPROCS; 1 forces the serial path.
 func WithWorkers(n int) BuildOption {
 	return func(c *buildConfig) { c.workers = n }
 }
@@ -148,7 +143,7 @@ func BuildCtx(cc context.Context, ctx *Context, opts ...BuildOption) (*Lattice, 
 	defer sp.End()
 	arena := bitset.NewArena()
 	numObj, numAttr := ctx.NumObjects(), ctx.NumAttributes()
-	l := &Lattice{ctx: ctx, arena: arena, workers: cfg.workers, inv: newInvIndex(numAttr)}
+	l := &Lattice{ctx: ctx, arena: arena, inv: newInvIndex(numAttr)}
 	l.idx.initFor(256)
 
 	// Seed with the bottom concept: intent = all attributes, extent = the
@@ -814,12 +809,6 @@ func (l *Lattice) Children(id int) []int {
 	return l.children[id]
 }
 
-// Leq reports whether concept a ≤ concept b in the lattice order
-// (extent(a) ⊆ extent(b)).
-func (l *Lattice) Leq(a, b int) bool {
-	return l.concepts[a].Extent.SubsetOf(l.concepts[b].Extent)
-}
-
 // Meet returns the ID of the greatest lower bound of a and b: the concept
 // with extent closure of extent(a) ∩ extent(b). ok is false when either ID
 // is out of range or the lattice's index no longer matches its context (a
@@ -856,36 +845,6 @@ func (l *Lattice) byIntent(intent *bitset.Set) (id int, ok bool) {
 		return 0, false
 	}
 	return id, true
-}
-
-// findScratch pools the σ(X) scratch sets Find uses, making lookups
-// allocation-free under concurrent query load (the lattice server hits
-// Find from many request goroutines).
-var findScratch = sync.Pool{New: func() any { return new(bitset.Set) }}
-
-// Find returns the most specific concept whose extent contains all the
-// given objects: the concept (τ(σ(X)), σ(X)). ok is false — instead of the
-// panic earlier versions raised — when the object set references objects
-// outside the context or the closure is missing from a stale index.
-func (l *Lattice) Find(objects *bitset.Set) (id int, ok bool) {
-	// Reject foreign object sets up front: Sigma indexes context rows by
-	// object, so an out-of-range bit would panic inside it.
-	numObj := l.ctx.NumObjects()
-	inRange := true
-	objects.Range(func(o int) bool {
-		if o >= numObj {
-			inRange = false
-			return false
-		}
-		return true
-	})
-	if !inRange {
-		return 0, false
-	}
-	sc := findScratch.Get().(*bitset.Set)
-	id, ok = l.byIntent(l.ctx.SigmaInto(sc, objects))
-	findScratch.Put(sc)
-	return id, ok
 }
 
 // AttributeConcept returns the ID of the maximal concept whose intent

@@ -15,7 +15,8 @@ import (
 // construction.
 func BuildNaive(ctx *Context) *Lattice {
 	l := &Lattice{ctx: ctx}
-	allAttrs := bitset.Full(ctx.NumAttributes())
+	allAttrs := &bitset.Set{}
+	allAttrs.FillFull(ctx.NumAttributes())
 	intents := map[string]*bitset.Set{allAttrs.Key(): allAttrs}
 	worklist := []*bitset.Set{allAttrs}
 	for len(worklist) > 0 {

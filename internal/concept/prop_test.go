@@ -55,13 +55,22 @@ func TestPropBuildersAgree(t *testing.T) {
 	}
 }
 
+// leq reports whether concept a ≤ concept b in the lattice order
+// (extent(a) ⊆ extent(b)).
+func leq(l *Lattice, a, b int) bool {
+	return l.concepts[a].Extent.SubsetOf(l.concepts[b].Extent)
+}
+
+// properSubset reports whether a ⊊ b.
+func properSubset(a, b *bitset.Set) bool { return a.SubsetOf(b) && !a.Equal(b) }
+
 // checkLatticeInvariants is the complete-lattice sanity sweep that used to
 // run (as a panic guard) inside linkCovers; it now lives in tests only.
 func checkLatticeInvariants(t *testing.T, l *Lattice) {
 	t.Helper()
 	for _, c := range l.Concepts() {
 		// Every concept's own intent must resolve through the index — the
-		// closed-intent invariant that Find/Meet/Join rely on. Production
+		// closed-intent invariant that Meet/Join rely on. Production
 		// code reports a miss via ok=false; here a miss is a hard failure.
 		if id, ok := l.byIntent(c.Intent); !ok || id != c.ID {
 			t.Fatalf("concept %d: intent not in index (not closed?)", c.ID)
@@ -73,14 +82,14 @@ func checkLatticeInvariants(t *testing.T, l *Lattice) {
 			t.Fatalf("concept %d has no children but is not the bottom", c.ID)
 		}
 		for _, p := range l.Parents(c.ID) {
-			if !c.Extent.ProperSubsetOf(l.Concept(p).Extent) {
+			if !properSubset(c.Extent, l.Concept(p).Extent) {
 				t.Fatalf("parent %d of %d does not strictly contain it", p, c.ID)
 			}
 			// Cover minimality: nothing strictly between.
 			for _, mid := range l.Concepts() {
 				if mid.ID != c.ID && mid.ID != p &&
-					c.Extent.ProperSubsetOf(mid.Extent) &&
-					mid.Extent.ProperSubsetOf(l.Concept(p).Extent) {
+					properSubset(c.Extent, mid.Extent) &&
+					properSubset(mid.Extent, l.Concept(p).Extent) {
 					t.Fatalf("concept %d lies between %d and its cover %d", mid.ID, c.ID, p)
 				}
 			}
@@ -95,7 +104,7 @@ func TestPropIndexedQueriesMatchScan(t *testing.T) {
 	for iter := 0; iter < 100; iter++ {
 		c := randomContext(rng, 10, 8)
 		l := Build(c)
-		// byIntent (via Find): scan for the concept with intent σ(X).
+		// byIntent: scan for the concept with intent σ(X).
 		for trial := 0; trial < 5; trial++ {
 			x := bitset.New(c.NumObjects())
 			for o := 0; o < c.NumObjects(); o++ {
@@ -111,19 +120,19 @@ func TestPropIndexedQueriesMatchScan(t *testing.T) {
 					break
 				}
 			}
-			got, ok := l.Find(x)
+			got, ok := l.byIntent(intent)
 			if !ok {
-				t.Fatalf("iter %d: Find(%s) not ok on its own lattice", iter, x)
+				t.Fatalf("iter %d: byIntent(σ(%s)) not ok on its own lattice", iter, x)
 			}
 			if got != want {
-				t.Fatalf("iter %d: Find(%s) = %d, scan = %d", iter, x, got, want)
+				t.Fatalf("iter %d: byIntent(σ(%s)) = %d, scan = %d", iter, x, got, want)
 			}
 		}
 		// ObjectConcept: minimal concept whose extent contains o.
 		for o := 0; o < c.NumObjects(); o++ {
 			got := l.ObjectConcept(o)
 			for _, cc := range l.Concepts() {
-				if cc.Extent.Has(o) && cc.Extent.ProperSubsetOf(l.Concept(got).Extent) {
+				if cc.Extent.Has(o) && properSubset(cc.Extent, l.Concept(got).Extent) {
 					t.Fatalf("iter %d: ObjectConcept(%d) = %d is not minimal (%d smaller)", iter, o, got, cc.ID)
 				}
 			}
@@ -135,7 +144,7 @@ func TestPropIndexedQueriesMatchScan(t *testing.T) {
 		for a := 0; a < c.NumAttributes(); a++ {
 			got := l.AttributeConcept(a)
 			for _, cc := range l.Concepts() {
-				if cc.Intent.Has(a) && l.Concept(got).Extent.ProperSubsetOf(cc.Extent) {
+				if cc.Intent.Has(a) && properSubset(l.Concept(got).Extent, cc.Extent) {
 					t.Fatalf("iter %d: AttributeConcept(%d) = %d is not maximal (%d larger)", iter, a, got, cc.ID)
 				}
 			}
@@ -152,14 +161,14 @@ func TestPropIndexedQueriesMatchScan(t *testing.T) {
 				t.Fatalf("iter %d: Meet/Join(%d,%d) not ok on valid IDs", iter, a, b)
 			}
 			for _, x := range l.Concepts() {
-				if l.Leq(x.ID, a) && l.Leq(x.ID, b) && !l.Leq(x.ID, m) {
+				if leq(l, x.ID, a) && leq(l, x.ID, b) && !leq(l, x.ID, m) {
 					t.Fatalf("iter %d: Meet(%d,%d)=%d not greatest", iter, a, b, m)
 				}
-				if l.Leq(a, x.ID) && l.Leq(b, x.ID) && !l.Leq(j, x.ID) {
+				if leq(l, a, x.ID) && leq(l, b, x.ID) && !leq(l, j, x.ID) {
 					t.Fatalf("iter %d: Join(%d,%d)=%d not least", iter, a, b, j)
 				}
 			}
-			if !l.Leq(m, a) || !l.Leq(m, b) || !l.Leq(a, j) || !l.Leq(b, j) {
+			if !leq(l, m, a) || !leq(l, m, b) || !leq(l, a, j) || !leq(l, b, j) {
 				t.Fatalf("iter %d: Meet/Join not bounds", iter)
 			}
 		}
@@ -295,9 +304,9 @@ func TestTraceContext(t *testing.T) {
 	}
 	// The two popen traces share a concept whose intent includes the popen
 	// transition.
-	id, ok := l.Find(bitset.FromSlice([]int{0, 1}))
+	id, ok := l.Join(l.ObjectConcept(0), l.ObjectConcept(1))
 	if !ok {
-		t.Fatal("Find not ok on freshly built lattice")
+		t.Fatal("Join not ok on freshly built lattice")
 	}
 	if !l.Concept(id).Intent.Has(1) {
 		t.Errorf("popen concept intent = %s", l.Concept(id).Intent)

@@ -49,7 +49,7 @@ func TestQuickConceptsAreMaximalRectangles(t *testing.T) {
 		c := contextFromSeed(seed, objs, attrs)
 		l := Build(c)
 		for _, cc := range l.Concepts() {
-			if !c.IsConcept(cc.Extent, cc.Intent) {
+			if !c.Sigma(cc.Extent).Equal(cc.Intent) || !c.Tau(cc.Intent).Equal(cc.Extent) {
 				return false
 			}
 			// Maximality: no object outside the extent has every intent

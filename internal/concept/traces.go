@@ -25,14 +25,12 @@ func TraceContext(traces []trace.Trace, ref *fa.FA) (*Context, error) {
 // rejected trace yields an error naming it, so callers can pick a coarser
 // reference FA (fa.FromTraces always works).
 //
-// The reference FA is compiled once (fa.Sim) and the batch simulation
-// dedups to one representative per identical-event trace class before
-// fanning out over a bounded worker pool: duplicate traces share the class
-// representative's executed-transition set, so the relation — assembled in
-// input order and therefore identical to a serial per-trace run — costs one
-// simulation per class, not per trace. Cancellation is checked between
-// classes: once ctx is done no new simulation starts and ctx.Err() is
-// returned.
+// The reference FA is compiled once (fa.Sim) and the traces are simulated
+// over a bounded worker pool, one simulation per trace; the relation is
+// assembled in input order and therefore identical to a serial run.
+// Callers pass distinct traces (trace.Set.Representatives), so nothing is
+// simulated twice. Cancellation is checked between traces: once ctx is
+// done no new simulation starts and ctx.Err() is returned.
 func TraceContextCtx(ctx context.Context, traces []trace.Trace, ref *fa.FA, workers int) (*Context, error) {
 	sp := obs.StartSpan("concept.context")
 	defer sp.End()

@@ -199,9 +199,7 @@ func TestWideBuildMatchesLegacy(t *testing.T) {
 }
 
 // TestWideIncrementalMatchesRebuild grows wide lattices one object at a
-// time — with a removal now and then, so adds also run after the
-// duplicate-row fast path and after a replay rebuild — and pins every step
-// to a fresh build, serial and parallel. It covers the projected Godin
+// time and pins every add to a fresh build, serial and parallel. It covers the projected Godin
 // scan on incremental inserts, the cover repair (new concepts through the
 // linkCovers routine, old ones from their old parents) and the μa delta.
 func TestWideIncrementalMatchesRebuild(t *testing.T) {
@@ -222,20 +220,13 @@ func TestWideIncrementalMatchesRebuild(t *testing.T) {
 				if err := l.AddObjectCtx(context.Background(), "", full.Attributes(o)); err != nil {
 					t.Fatal(err)
 				}
-				if n := l.Context().NumObjects(); n > 1 && rng.Intn(5) == 0 {
-					r := rng.Intn(n)
-					msg += fmt.Sprintf(", remove object %d", r)
-					if err := l.RemoveObjectCtx(context.Background(), r); err != nil {
-						t.Fatal(err)
-					}
-				}
 				rebuilt, err := BuildCtx(context.Background(), l.Context().clone(), WithWorkers(workers))
 				if err != nil {
 					t.Fatal(err)
 				}
 				requireByteIdentical(t, l, rebuilt, msg)
+				checkLatticeInvariants(t, l)
 			}
-			checkLatticeInvariants(t, l)
 		}
 	}
 }

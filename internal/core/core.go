@@ -25,7 +25,6 @@ import (
 	"strings"
 
 	"repro/internal/cable"
-	"repro/internal/concept"
 	"repro/internal/fa"
 	"repro/internal/fa/lang"
 	"repro/internal/learn"
@@ -54,30 +53,6 @@ func DebugViolations(spec *fa.FA, scenarios *trace.Set) (*Session, []verify.Viol
 		return nil, nil, err
 	}
 	return session, raw, nil
-}
-
-// DebugProgram runs the static variant of the testing workflow: check a
-// program model against the specification with the product-based verifier
-// (verify.Static), and build the debugging session over the reported
-// violation traces (bounded by maxLen events per trace and limit traces).
-// When the program conforms up to the bound, it returns (nil, nil, nil).
-func DebugProgram(program, spec *fa.FA, maxLen, limit int) (*Session, []verify.Violation, error) {
-	violations, err := verify.Static(program, spec, maxLen, limit)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(violations) == 0 {
-		return nil, nil, nil
-	}
-	set := &trace.Set{}
-	for _, v := range violations {
-		set.Add(v.Trace)
-	}
-	session, err := cable.NewSession(set, ReferenceFA(set))
-	if err != nil {
-		return nil, nil, err
-	}
-	return session, violations, nil
 }
 
 // DebugMined builds a session for a mined specification's scenario traces,
@@ -110,13 +85,6 @@ func ReferenceFA(set *trace.Set) *fa.FA {
 		}
 	}
 	return learn.DefaultLearner.MustLearn("reference", all).FA
-}
-
-// BuildLattice is the one-call Step 1 for callers that manage labeling
-// themselves: the concept lattice over a trace set's class representatives
-// and a reference FA.
-func BuildLattice(set *trace.Set, ref *fa.FA) (*concept.Lattice, error) {
-	return concept.BuildFromTraces(set.Representatives(), ref)
 }
 
 // FixSpec performs Step 3 of the testing workflow: extend the specification

@@ -15,7 +15,7 @@ import (
 // standing in for the human labeler.
 func labelByTruth(s *Session, truth xtrace.Labeling) {
 	for i := 0; i < s.NumTraces(); i++ {
-		if truth[must(s.Trace(i)).Key()] {
+		if truth[s.Representatives()[i].Key()] {
 			s.LabelTrace(i, cable.Good)
 		} else {
 			s.LabelTrace(i, cable.Bad)
@@ -41,7 +41,7 @@ func TestDebugViolationsFlow(t *testing.T) {
 	// and erroneous leaks (program bugs).
 	sawGood, sawBad := false, false
 	for i := 0; i < session.NumTraces(); i++ {
-		if truth[must(session.Trace(i)).Key()] {
+		if truth[session.Representatives()[i].Key()] {
 			sawGood = true
 		} else {
 			sawBad = true
@@ -185,7 +185,7 @@ func TestRelearnGoodMultipleLabels(t *testing.T) {
 	}
 	// Assign split good labels by protocol, bad otherwise.
 	for i := 0; i < session.NumTraces(); i++ {
-		key := must(session.Trace(i)).Key()
+		key := session.Representatives()[i].Key()
 		switch {
 		case !truth[key]:
 			session.LabelTrace(i, cable.Bad)
@@ -218,55 +218,4 @@ func TestIsGoodLabel(t *testing.T) {
 			t.Errorf("IsGoodLabel(%q) = %v", label, got)
 		}
 	}
-}
-
-func TestDebugProgramStatic(t *testing.T) {
-	// Static flavor of Section 2.1: the buggy spec against the full stdio
-	// program model.
-	stdio := specs.Stdio()
-	program, err := specs.ProgramFA("stdio", stdio.Model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	session, violations, err := DebugProgram(program, specs.FigureOneFA(), 8, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if session == nil || len(violations) == 0 {
-		t.Fatal("no static violations")
-	}
-	// Label by the correct spec's verdict and fix; the fixed spec then
-	// accepts strictly more of the program's good behaviour.
-	for i := 0; i < session.NumTraces(); i++ {
-		if stdio.FA.Accepts(must(session.Trace(i))) {
-			session.LabelTrace(i, cable.Good)
-		} else {
-			session.LabelTrace(i, cable.Bad)
-		}
-	}
-	fixed, err := FixSpec(specs.FigureOneFA(), session)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fixed.Accepts(trace.ParseEvents("", "X = popen()", "pclose(X)")) {
-		t.Error("static debugging did not repair the popen gap")
-	}
-	// A conforming program yields no session.
-	good, err := specs.DeriveFA("good", stdio.Model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	session, violations, err = DebugProgram(good, stdio.FA, 8, 100)
-	if err != nil || session != nil || violations != nil {
-		t.Errorf("conforming program produced a session: %v %v %v", session, violations, err)
-	}
-}
-
-// must unwraps a (value, error) pair, panicking on error; these tests only
-// use IDs the checked accessors accept.
-func must[T any](v T, err error) T {
-	if err != nil {
-		panic(err)
-	}
-	return v
 }

@@ -49,11 +49,6 @@ func Call(op string, uses ...string) Event {
 	return Event{Op: op, Uses: uses}
 }
 
-// Bind constructs an event whose result is bound to def: def = op(uses...).
-func Bind(def, op string, uses ...string) Event {
-	return Event{Op: op, Def: def, Uses: uses}
-}
-
 // String renders the event in the paper's syntax: "X = fopen()" or
 // "fclose(X)". The rendering is canonical: Parse(e.String()) == e for every
 // valid event, and two events are equal iff their strings are equal.
@@ -109,26 +104,6 @@ func (e Event) Mentions(name string) bool {
 	return false
 }
 
-// Rename returns a copy of the event with every variable name mapped through
-// subst; names absent from subst are kept unchanged.
-func (e Event) Rename(subst map[string]string) Event {
-	out := Event{Op: e.Op, Def: e.Def}
-	if n, ok := subst[e.Def]; ok {
-		out.Def = n
-	}
-	if len(e.Uses) > 0 {
-		out.Uses = make([]string, len(e.Uses))
-		for i, u := range e.Uses {
-			if n, ok := subst[u]; ok {
-				out.Uses[i] = n
-			} else {
-				out.Uses[i] = u
-			}
-		}
-	}
-	return out
-}
-
 // Parse parses the canonical rendering produced by String:
 //
 //	[def =] op ( [use {, use}] )
@@ -176,19 +151,6 @@ func MustParse(s string) Event {
 		panic(err)
 	}
 	return e
-}
-
-// ParseAll parses a list of events, one per element.
-func ParseAll(ss ...string) ([]Event, error) {
-	out := make([]Event, 0, len(ss))
-	for _, s := range ss {
-		e, err := Parse(s)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, e)
-	}
-	return out, nil
 }
 
 // ObjID identifies a runtime object in a concrete execution trace. Zero

@@ -11,9 +11,9 @@ func TestStringForms(t *testing.T) {
 		e    Event
 		want string
 	}{
-		{Bind("X", "fopen"), "X = fopen()"},
+		{Event{Op: "fopen", Def: "X"}, "X = fopen()"},
 		{Call("fclose", "X"), "fclose(X)"},
-		{Bind("Y", "XCreateGC", "D", "W"), "Y = XCreateGC(D, W)"},
+		{Event{Op: "XCreateGC", Def: "Y", Uses: []string{"D", "W"}}, "Y = XCreateGC(D, W)"},
 		{Call("XFlush"), "XFlush()"},
 	}
 	for _, c := range cases {
@@ -75,16 +75,6 @@ func TestMustParsePanics(t *testing.T) {
 	MustParse("not an event")
 }
 
-func TestParseAll(t *testing.T) {
-	es, err := ParseAll("X = fopen()", "fclose(X)")
-	if err != nil || len(es) != 2 || es[0].Op != "fopen" || es[1].Op != "fclose" {
-		t.Fatalf("ParseAll = %v, %v", es, err)
-	}
-	if _, err := ParseAll("X = fopen()", "bogus"); err == nil {
-		t.Fatal("ParseAll accepted bad event")
-	}
-}
-
 func TestNamesAndMentions(t *testing.T) {
 	e := MustParse("Y = draw(X, Y, Z)")
 	if got := e.Names(); strings.Join(got, ",") != "X,Y,Z" {
@@ -100,19 +90,6 @@ func TestNamesAndMentions(t *testing.T) {
 	}
 	if got := Call("XFlush").Names(); len(got) != 0 {
 		t.Errorf("Names of nullary call = %v", got)
-	}
-}
-
-func TestRename(t *testing.T) {
-	e := MustParse("Y = draw(X, Y)")
-	r := e.Rename(map[string]string{"Y": "A", "X": "B"})
-	if r.String() != "A = draw(B, A)" {
-		t.Errorf("Rename = %q", r)
-	}
-	// Unmapped names survive; original untouched.
-	r2 := e.Rename(map[string]string{"X": "Q"})
-	if r2.String() != "Y = draw(Q, Y)" || e.String() != "Y = draw(X, Y)" {
-		t.Errorf("Rename partial = %q, orig = %q", r2, e)
 	}
 }
 

@@ -28,10 +28,8 @@ import (
 //     symbol buffers) lives in a sync.Pool, so steady-state simulation
 //     allocates nothing beyond Executed's result and one Sim can be shared
 //     by a worker pool.
-//   - ExecutedAll dedups a trace slice per identical-event class (keyed by
-//     trace.Trace.AppendKey), so each class is simulated once per call. No
-//     result outlives the call that computed it: a long-lived Sim retains
-//     nothing but its tables and its scratch pool.
+//   - No result outlives the call that computed it: a long-lived Sim
+//     retains nothing but its tables and its scratch pool.
 //
 // A Sim is immutable after compilation apart from the scratch pool, which
 // is safe for concurrent use: all methods may be called from multiple
@@ -198,12 +196,6 @@ func newSim(f *FA) *Sim {
 func (s *Sim) get() *simScratch   { return s.pool.Get().(*simScratch) }
 func (s *Sim) put(sc *simScratch) { s.pool.Put(sc) }
 
-// NumSymbols returns the number of distinct non-wildcard transition labels.
-func (s *Sim) NumSymbols() int { return s.numSyms }
-
-// FA returns the automaton this plan was compiled from.
-func (s *Sim) FA() *FA { return s.fa }
-
 // CanonicalEvent returns the interned event whose canonical rendering
 // (event.AppendString) is exactly key, or ok=false when the bytes name no
 // transition label of this plan. Decoders that already hold the rendering
@@ -302,9 +294,7 @@ func (s *Sim) RejectsAt(t trace.Trace) int {
 // Executed returns the set of transition indices on at least one accepting
 // run of the automaton on the trace — the relation R of Section 3.2 (see
 // FA.Executed). The returned set is fresh and owned by the caller; apart
-// from it, steady-state calls allocate nothing. Callers replaying many
-// duplicate traces should prefer ExecutedAll, which simulates each
-// identical-event class once.
+// from it, steady-state calls allocate nothing.
 func (s *Sim) Executed(t trace.Trace) (*bitset.Set, bool) {
 	sp := obs.StartSpan("fa.executed")
 	defer sp.End()
@@ -373,69 +363,20 @@ func (s *Sim) executedInto(sc *simScratch, t trace.Trace, out *bitset.Set) bool 
 	return true
 }
 
-// ExecutedAll simulates every trace, deduplicating per identical-event
-// class so each class is simulated exactly once: result i is the executed
-// set and acceptance of traces[i], and identical traces share one set
-// pointer, so the sets must be treated as read-only. Every call returns
-// fresh sets.
-func (s *Sim) ExecutedAll(traces []trace.Trace) ([]*bitset.Set, []bool) {
-	sets, oks, _ := s.ExecutedAllCtx(context.Background(), traces, 1)
-	return sets, oks
-}
-
-// ExecutedAllCtx is ExecutedAll fanned out over a bounded worker pool
-// (workers 0 means GOMAXPROCS, 1 is serial). Only one representative per
-// identical-event class is simulated; class members share the resulting
-// set. Cancellation is checked between classes; once ctx is done no new
+// ExecutedAllCtx simulates every trace over a bounded worker pool
+// (workers 0 means GOMAXPROCS, 1 is serial): result i is the executed set
+// and acceptance of traces[i], a fresh set owned by the caller.
+// Cancellation is checked between traces; once ctx is done no new
 // simulation starts and ctx.Err() is returned.
 func (s *Sim) ExecutedAllCtx(ctx context.Context, traces []trace.Trace, workers int) ([]*bitset.Set, []bool, error) {
 	sp := obs.StartSpan("fa.executedall")
 	defer sp.End()
-	classOf := make([]int, len(traces))
-	var reps []int // index into traces of each class representative
-	seen := make(map[string]int, len(traces))
-	var buf []byte
-	// The dedup pass hashes every trace key; on huge batches that is real
-	// work, so honor cancellation on a stride like the simulation loop.
-	done := ctx.Done()
-	for i, t := range traces {
-		if i&1023 == 0 {
-			select {
-			case <-done:
-				return nil, nil, ctx.Err()
-			default:
-			}
-		}
-		buf = t.AppendKey(buf[:0])
-		if c, ok := seen[string(buf)]; ok {
-			classOf[i] = c
-			continue
-		}
-		c := len(reps)
-		seen[string(buf)] = c
-		reps = append(reps, i)
-		classOf[i] = c
-	}
-	obs.Count("fa.executedall.traces", int64(len(traces)))
-	obs.Count("fa.executedall.classes", int64(len(reps)))
-	repSets := make([]*bitset.Set, len(reps))
-	repOks := make([]bool, len(reps))
-	if err := forEachPar(ctx, len(reps), workers, func(c int) {
-		repSets[c], repOks[c] = s.Executed(traces[reps[c]])
-	}); err != nil {
-		return nil, nil, err
-	}
 	sets := make([]*bitset.Set, len(traces))
 	oks := make([]bool, len(traces))
-	for i, c := range classOf {
-		if i&8191 == 0 {
-			select {
-			case <-done:
-				return nil, nil, ctx.Err()
-			default:
-			}
-		}
-		sets[i], oks[i] = repSets[c], repOks[c]
+	if err := forEachPar(ctx, len(traces), workers, func(i int) {
+		sets[i], oks[i] = s.Executed(traces[i])
+	}); err != nil {
+		return nil, nil, err
 	}
 	return sets, oks, nil
 }

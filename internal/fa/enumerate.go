@@ -59,8 +59,8 @@ func (f *FA) Enumerate(maxLen, limit int) []trace.Trace {
 
 // Sample returns a uniformly-random-walk accepted trace of length at most
 // maxLen, or ok=false if the walk dies or fails to reach acceptance. Used by
-// property tests and the workload generator to draw sentences from a
-// specification's language.
+// property tests and benchmarks to draw sentences from a specification's
+// language.
 func (f *FA) Sample(rng *rand.Rand, maxLen int) (trace.Trace, bool) {
 	// Precompute states that can reach acceptance so the walk never strays
 	// into dead states.

@@ -230,9 +230,6 @@ func (f *FA) StartStates() []State { return toStates(f.start) }
 // AcceptStates returns the accepting states in increasing order.
 func (f *FA) AcceptStates() []State { return toStates(f.accept) }
 
-// IsStart reports whether s is a start state.
-func (f *FA) IsStart(s State) bool { return f.start.Has(int(s)) }
-
 // IsAccept reports whether s is accepting.
 func (f *FA) IsAccept(s State) bool { return f.accept.Has(int(s)) }
 

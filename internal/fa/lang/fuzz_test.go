@@ -69,10 +69,11 @@ func FuzzDeterminize(f *testing.F) {
 			return
 		}
 		nfa := decodeFA(faBytes, true)
-		det, err := lang.Determinize(nfa)
+		dfa, err := lang.Compile(nfa, nfa.Alphabet())
 		if err != nil {
-			t.Fatalf("Determinize: %v", err)
+			t.Fatalf("Compile: %v", err)
 		}
+		det := dfa.FA(nfa.Name()).Trim()
 		if !det.IsDeterministic() {
 			t.Fatalf("Determinize output is nondeterministic:\n%s", det)
 		}

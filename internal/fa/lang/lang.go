@@ -48,9 +48,6 @@ type DFA struct {
 	symIdx map[string]int
 }
 
-// NumStates returns the state count.
-func (d *DFA) NumStates() int { return len(d.Accept) }
-
 // Compile determinizes and completes f over the given analysis alphabet
 // by subset construction: the empty subset is the rejecting sink, so the
 // result is total by construction. Wildcard transitions match every
@@ -285,17 +282,6 @@ func (d *DFA) FA(name string) *fa.FA {
 		}
 	}
 	return b.MustBuild()
-}
-
-// Determinize returns a trimmed deterministic automaton recognizing f's
-// language over f's own alphabet; wildcards expand over that alphabet, so
-// the result agrees with f on traces drawn from it.
-func Determinize(f *fa.FA) (*fa.FA, error) {
-	d, err := Compile(f, f.Alphabet())
-	if err != nil {
-		return nil, err
-	}
-	return d.FA(f.Name()).Trim(), nil
 }
 
 // Alphabet returns the joint analysis alphabet for f and g: the union of

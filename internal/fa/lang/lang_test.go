@@ -271,10 +271,11 @@ func TestDeterminizeDeterministicAndEquivalent(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 150; iter++ {
 		f := randomNFA(rng, false)
-		det, err := lang.Determinize(f)
+		dfa, err := lang.Compile(f, f.Alphabet())
 		if err != nil {
-			t.Fatalf("Determinize: %v", err)
+			t.Fatalf("Compile: %v", err)
 		}
+		det := dfa.FA(f.Name()).Trim()
 		if !det.IsDeterministic() {
 			t.Fatalf("iter %d: Determinize output is nondeterministic:\n%s", iter, det)
 		}

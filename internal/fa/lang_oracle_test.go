@@ -25,7 +25,7 @@ var (
 // randomNFA generates a small random NFA over {a(), b(), c()}, possibly
 // with two start states and several accepting ones.
 func randomNFA(rng *rand.Rand) *fa.FA {
-	alpha, _ := event.ParseAll("a()", "b()", "c()")
+	alpha := trace.ParseEvents("", "a()", "b()", "c()").Events
 	n := 2 + rng.Intn(5)
 	b := fa.NewBuilder("rand")
 	states := b.States(n)
@@ -119,7 +119,7 @@ func TestEquivalent(t *testing.T) {
 func TestCompileEquivalentToTemplates(t *testing.T) {
 	// The paper's seed-order template written as a regex equals the
 	// SeedOrder constructor's language.
-	alphabet, _ := event.ParseAll("a()", "b()", "s()")
+	alphabet := trace.ParseEvents("", "a()", "b()", "s()").Events
 	tmpl := fa.SeedOrder(alphabet, event.MustParse("s()"))
 	rx := fa.MustCompile("seed-rx", "(a()|b())* s() (a()|b()|s())*")
 	if !equivalent(t, tmpl, rx) {
@@ -137,10 +137,11 @@ func TestPropDeterminizeMinimizePreserveLanguage(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for iter := 0; iter < 150; iter++ {
 		f := randomNFA(rng)
-		d, err := lang.Determinize(f)
+		dfa, err := lang.Compile(f, f.Alphabet())
 		if err != nil {
 			t.Fatal(err)
 		}
+		d := dfa.FA(f.Name()).Trim()
 		m, err := lang.Minimize(f)
 		if err != nil {
 			t.Fatal(err)
@@ -160,7 +161,7 @@ func TestPropDeterminizeMinimizePreserveLanguage(t *testing.T) {
 
 func TestPropBooleanOps(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	alpha, _ := event.ParseAll("a()", "b()", "c()")
+	alpha := trace.ParseEvents("", "a()", "b()", "c()").Events
 	for iter := 0; iter < 100; iter++ {
 		f, g := randomNFA(rng), randomNFA(rng)
 		df, err := lang.Compile(f, alpha)
@@ -195,7 +196,7 @@ func TestPropBooleanOps(t *testing.T) {
 
 func TestPropMinimalIsMinimal(t *testing.T) {
 	// Minimizing twice changes nothing, and the result of Minimize is never
-	// larger than the result of Determinize.
+	// larger than the determinized automaton.
 	rng := rand.New(rand.NewSource(13))
 	for iter := 0; iter < 80; iter++ {
 		f := randomNFA(rng)
@@ -210,10 +211,11 @@ func TestPropMinimalIsMinimal(t *testing.T) {
 		if m2.NumStates() != m1.NumStates() {
 			t.Fatalf("iter %d: re-minimization changed size %d -> %d", iter, m1.NumStates(), m2.NumStates())
 		}
-		d, err := lang.Determinize(f)
+		dfa, err := lang.Compile(f, f.Alphabet())
 		if err != nil {
 			t.Fatal(err)
 		}
+		d := dfa.FA(f.Name()).Trim()
 		if m1.NumStates() > d.NumStates() {
 			t.Fatalf("iter %d: minimal (%d) bigger than determinized (%d)", iter, m1.NumStates(), d.NumStates())
 		}
@@ -244,10 +246,11 @@ func TestPropEquivalenceIsLanguageEquality(t *testing.T) {
 func TestQuickDeterminizeSound(t *testing.T) {
 	err := quick.Check(func(faSeed, trSeed int64) bool {
 		f := randomNFA(rand.New(rand.NewSource(faSeed)))
-		d, err := lang.Determinize(f)
+		dfa, err := lang.Compile(f, f.Alphabet())
 		if err != nil {
 			return false
 		}
+		d := dfa.FA(f.Name()).Trim()
 		tc := randomWord(rand.New(rand.NewSource(trSeed)), 6)
 		return d.Accepts(tc) == f.Accepts(tc)
 	}, &quick.Config{MaxCount: 250})
@@ -257,7 +260,7 @@ func TestQuickDeterminizeSound(t *testing.T) {
 }
 
 func TestQuickUnionIntersectDuality(t *testing.T) {
-	alpha, _ := event.ParseAll("a()", "b()", "c()")
+	alpha := trace.ParseEvents("", "a()", "b()", "c()").Events
 	err := quick.Check(func(aSeed, bSeed, trSeed int64) bool {
 		a := randomNFA(rand.New(rand.NewSource(aSeed)))
 		b := randomNFA(rand.New(rand.NewSource(bSeed)))

@@ -1,6 +1,7 @@
 package fa
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -105,9 +106,8 @@ func BenchmarkAccepts(b *testing.B) {
 	})
 }
 
-// BenchmarkExecutedAll measures the batch entry point on a multiset with
-// heavy class duplication (the TraceContext workload shape: many traces,
-// few classes).
+// BenchmarkExecutedAll measures the batch entry point against the legacy
+// per-trace loop over the same 128 traces (16 classes, each repeated).
 func BenchmarkExecutedAll(b *testing.B) {
 	f := benchFA()
 	classes := benchTraces(f, 16)
@@ -128,7 +128,9 @@ func BenchmarkExecutedAll(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			sim.ExecutedAll(traces)
+			if _, _, err := sim.ExecutedAllCtx(context.Background(), traces, 1); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }

@@ -69,9 +69,12 @@ func checkSimAgainstLegacy(t *testing.T, f *FA, tc trace.Trace) {
 	if gotOK != wantOK || !gotEx.Equal(wantEx) {
 		t.Fatalf("Sim.Executed(%q) = %s/%v, legacy %s/%v on\n%s", tc.Key(), gotEx, gotOK, wantEx, wantOK, f)
 	}
-	sets, oks := sim.ExecutedAll([]trace.Trace{tc, tc})
-	if oks[1] != wantOK || !sets[1].Equal(wantEx) || sets[0] != sets[1] {
-		t.Fatalf("Sim.ExecutedAll(%q twice) = %s/%v, legacy %s/%v on\n%s", tc.Key(), sets[1], oks[1], wantEx, wantOK, f)
+	sets, oks, err := sim.ExecutedAllCtx(context.Background(), []trace.Trace{tc, tc}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if oks[1] != wantOK || !sets[1].Equal(wantEx) {
+		t.Fatalf("Sim.ExecutedAllCtx(%q twice) = %s/%v, legacy %s/%v on\n%s", tc.Key(), sets[1], oks[1], wantEx, wantOK, f)
 	}
 }
 
@@ -188,10 +191,10 @@ func FuzzSimDifferential(f *testing.F) {
 	})
 }
 
-// TestSimExecutedAllSharesClassSets checks the batch entry point: results
-// line up with per-trace simulation and identical traces share one set
-// pointer (the class representative's), simulated exactly once.
-func TestSimExecutedAllSharesClassSets(t *testing.T) {
+// TestSimExecutedAllMatchesLegacy checks the batch entry point: results,
+// duplicates and a rejected trace included, line up with per-trace legacy
+// simulation.
+func TestSimExecutedAllMatchesLegacy(t *testing.T) {
 	f := stdioFixtureFA(t)
 	sim := f.Sim()
 	a := trace.ParseEvents("a", "X = fopen()", "fread(X)", "fclose(X)")
@@ -206,19 +209,13 @@ func TestSimExecutedAllSharesClassSets(t *testing.T) {
 	for i, tr := range traces {
 		wantSet, wantOK := f.legacyExecuted(tr)
 		if oks[i] != wantOK || !sets[i].Equal(wantSet) {
-			t.Fatalf("trace %d (%q): ExecutedAll %s/%v, legacy %s/%v", i, tr.Key(), sets[i], oks[i], wantSet, wantOK)
+			t.Fatalf("trace %d (%q): ExecutedAllCtx %s/%v, legacy %s/%v", i, tr.Key(), sets[i], oks[i], wantSet, wantOK)
 		}
-	}
-	if sets[0] != sets[2] || sets[0] != sets[4] {
-		t.Error("identical traces do not share one executed set pointer")
-	}
-	if sets[0] == sets[1] {
-		t.Error("distinct classes share a set pointer")
 	}
 }
 
 // TestSimExecutedAllCancellation checks that a done context aborts the
-// batch between classes.
+// batch between traces.
 func TestSimExecutedAllCancellation(t *testing.T) {
 	f := stdioFixtureFA(t)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -295,14 +292,20 @@ func TestExecutedAllRetainsNothing(t *testing.T) {
 		trace.ParseEvents("a", "X = fopen()", "fread(X)", "fclose(X)"),
 		trace.ParseEvents("b", "X = fopen()", "fclose(X)"),
 	}
-	first, _ := sim.ExecutedAll(traces)
-	second, _ := sim.ExecutedAll(traces)
+	first, _, err := sim.ExecutedAllCtx(context.Background(), traces, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, _, err := sim.ExecutedAllCtx(context.Background(), traces, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range traces {
 		if first[i] == second[i] {
-			t.Errorf("trace %d: two ExecutedAll calls return the same set; the Sim retained it", i)
+			t.Errorf("trace %d: two ExecutedAllCtx calls return the same set; the Sim retained it", i)
 		}
 		if !first[i].Equal(second[i]) {
-			t.Errorf("trace %d: ExecutedAll results differ across calls: %s vs %s", i, first[i], second[i])
+			t.Errorf("trace %d: ExecutedAllCtx results differ across calls: %s vs %s", i, first[i], second[i])
 		}
 	}
 }
@@ -389,7 +392,7 @@ func TestSimSharedAcrossGoroutines(t *testing.T) {
 					}
 					for j := range traces {
 						if oks[j] != want[j].ok || sets[j].String() != want[j].executed {
-							errs <- "ExecutedAll mismatch"
+							errs <- "ExecutedAllCtx mismatch"
 							return
 						}
 					}
@@ -430,10 +433,10 @@ func TestSimPlanCachedPerFA(t *testing.T) {
 func TestSimInternerExposesAlphabet(t *testing.T) {
 	f := stdioFixtureFA(t)
 	sim := f.Sim()
-	if got, want := sim.NumSymbols(), 4; got != want {
-		t.Fatalf("NumSymbols = %d, want %d", got, want)
+	if got, want := sim.numSyms, 4; got != want {
+		t.Fatalf("numSyms = %d, want %d", got, want)
 	}
-	if sim.FA() != f {
-		t.Error("Sim.FA does not return the source automaton")
+	if sim.fa != f {
+		t.Error("the plan does not point at the source automaton")
 	}
 }

@@ -19,7 +19,7 @@ func randomTraces(rng *rand.Rand, colliding bool) []trace.Trace {
 	alphabet := []event.Event{
 		event.Call("a"),
 		event.Call("b", "X"),
-		event.Bind("X", "c"),
+		event.Event{Op: "c", Def: "X"},
 		event.Call("d", "X", "Y"),
 	}
 	if colliding {

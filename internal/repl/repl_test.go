@@ -87,8 +87,8 @@ func TestLabelSelectors(t *testing.T) {
 		"label "+itoa(top)+" bad with good", // flip all
 	)
 	for i := 0; i < s.NumTraces(); i++ {
-		if must(s.LabelOf(i)) != cable.Bad {
-			t.Fatalf("trace %d label = %q", i, must(s.LabelOf(i)))
+		if s.Labels()[i] != cable.Bad {
+			t.Fatalf("trace %d label = %q", i, s.Labels()[i])
 		}
 	}
 }
@@ -300,13 +300,4 @@ func TestWorkspaceCommand(t *testing.T) {
 	if !strings.Contains(out.String(), "usage") {
 		t.Error("missing usage for bare workspace command")
 	}
-}
-
-// must unwraps a (value, error) pair, panicking on error; these tests only
-// use IDs the checked accessors accept.
-func must[T any](v T, err error) T {
-	if err != nil {
-		panic(err)
-	}
-	return v
 }

@@ -136,8 +136,7 @@ func (s *Server) Janitor(ctx context.Context, interval time.Duration) {
 	}
 }
 
-// EvictIdleNow runs one eviction sweep immediately; exported for tests
-// and operational tooling.
+// EvictIdleNow runs one eviction sweep immediately; exported for tests.
 func (s *Server) EvictIdleNow() int { return s.store.evictIdle(s.cfg.IdleTimeout) }
 
 // handlerFunc is an endpoint body: it gets the request-scoped context

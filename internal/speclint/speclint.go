@@ -40,22 +40,6 @@ const (
 	RuleDuplicateSpec       = "duplicate-spec"
 )
 
-// Rules lists every rule name in report order.
-func Rules() []string {
-	return []string{
-		RuleUnreachableState,
-		RuleDeadTransition,
-		RuleAmbiguity,
-		RuleVacuous,
-		RuleAlphabetMismatch,
-		RuleRedundantTransition,
-		RuleMergeableStates,
-		RuleLanguageDiff,
-		RuleSubsumedSpec,
-		RuleDuplicateSpec,
-	}
-}
-
 // Finding is one diagnostic about a specification automaton.
 type Finding struct {
 	Spec    string `json:"spec"`
@@ -111,15 +95,6 @@ func Lint(f *fa.FA) []Finding {
 		})
 	}
 	return out
-}
-
-// LintWithTraces runs Lint plus the alphabet-mismatch rule against a
-// trace corpus: events the traces use but no spec transition can match
-// (the spec silently rejects every such trace), and events the spec
-// spells out but no trace ever performs (dead vocabulary, often a typo
-// in the spec).
-func LintWithTraces(f *fa.FA, traces []trace.Trace) []Finding {
-	return append(Lint(f), AlphabetFindings(f, traces)...)
 }
 
 // AlphabetFindings runs just the alphabet-mismatch rule, so callers that

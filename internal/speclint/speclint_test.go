@@ -79,7 +79,8 @@ func TestSeededDefects(t *testing.T) {
 			trace.ParseEvents("t0", "f()", "h()"),
 			trace.ParseEvents("t1", "f()"),
 		}
-		expect(t, LintWithTraces(loadFA(t, "mismatch.fa"), traces), []string{
+		f := loadFA(t, "mismatch.fa")
+		expect(t, append(Lint(f), AlphabetFindings(f, traces)...), []string{
 			"mismatch: alphabet-mismatch: event h() appears in the traces but no spec transition matches it",
 			"mismatch: alphabet-mismatch: event g() labels a spec transition but occurs in no trace",
 		})
@@ -95,7 +96,8 @@ func TestMismatchWildcardSuppression(t *testing.T) {
 	b.Accept(s[1])
 	b.EdgeStr(s[0], "f()", s[1])
 	b.WildcardEdge(s[1], s[1])
-	got := LintWithTraces(b.MustBuild(), []trace.Trace{trace.ParseEvents("t0", "g()")})
+	f := b.MustBuild()
+	got := append(Lint(f), AlphabetFindings(f, []trace.Trace{trace.ParseEvents("t0", "g()")})...)
 	expect(t, got, []string{
 		"wild: alphabet-mismatch: event f() labels a spec transition but occurs in no trace",
 	})
@@ -131,23 +133,5 @@ func TestShippedSpecsClean(t *testing.T) {
 func TestFigureOneStructurallyClean(t *testing.T) {
 	if got := Lint(specs.FigureOneFA()); len(got) != 0 {
 		t.Errorf("figure-1 spec: unexpected findings:\n%s", strings.Join(renderAll(got), "\n"))
-	}
-}
-
-func TestRulesStable(t *testing.T) {
-	want := []string{
-		RuleUnreachableState, RuleDeadTransition, RuleAmbiguity,
-		RuleVacuous, RuleAlphabetMismatch,
-		RuleRedundantTransition, RuleMergeableStates,
-		RuleLanguageDiff, RuleSubsumedSpec, RuleDuplicateSpec,
-	}
-	got := Rules()
-	if len(got) != len(want) {
-		t.Fatalf("Rules() = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Rules()[%d] = %q, want %q", i, got[i], want[i])
-		}
 	}
 }

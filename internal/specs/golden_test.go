@@ -28,11 +28,7 @@ func stdioFixed(t *testing.T) *fa.FA {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < session.NumTraces(); i++ {
-		tr, err := session.Trace(i)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for i, tr := range session.Representatives() {
 		label := cable.Bad
 		if truth[tr.Key()] {
 			label = cable.Good

@@ -2,7 +2,6 @@ package strategy
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"repro/internal/cable"
@@ -25,18 +24,6 @@ type Op struct {
 type Plan struct {
 	// Ops are the steps in order.
 	Ops []Op
-}
-
-// Cost returns the plan's cost under the Section 4.2 model: one inspection
-// per op plus one labeling per op that labels.
-func (p Plan) Cost() Cost {
-	c := Cost{Inspections: len(p.Ops)}
-	for _, op := range p.Ops {
-		if op.Label != cable.Unlabeled {
-			c.Labelings++
-		}
-	}
-	return c
 }
 
 // String renders the plan compactly: "c3!good c5 c7!bad ...".
@@ -87,34 +74,6 @@ func (r *planRun) visit(id int) bool {
 	return false
 }
 
-// TopDownPlan is TopDown returning the full operation sequence.
-func TopDownPlan(l *concept.Lattice, ref []cable.Label) (Plan, Cost, bool) {
-	r0, err := newRun(l, ref)
-	if err != nil {
-		return Plan{}, Cost{}, false
-	}
-	r := &planRun{run: r0}
-	order := l.TopDownOrder()
-	for !r.done() {
-		progress := false
-		for _, id := range order {
-			if r.done() {
-				break
-			}
-			if r.fullyLabeled(id) {
-				continue
-			}
-			if r.visit(id) {
-				progress = true
-			}
-		}
-		if !progress {
-			return r.plan, r.cost, false
-		}
-	}
-	return r.plan, r.cost, true
-}
-
 // ExpertPlan is Expert returning the full operation sequence (excluding
 // the final verification inspection, which targets the top concept).
 func ExpertPlan(l *concept.Lattice, ref []cable.Label) (Plan, Cost, bool) {
@@ -144,33 +103,5 @@ func ExpertPlan(l *concept.Lattice, ref []cable.Label) (Plan, Cost, bool) {
 	}
 	r.cost.Inspections++
 	r.plan.Ops = append(r.plan.Ops, Op{Concept: l.Top()}) // Step 2b check
-	return r.plan, r.cost, true
-}
-
-// RandomPlan is Random returning the full operation sequence.
-func RandomPlan(l *concept.Lattice, ref []cable.Label, rng *rand.Rand, maxOps int) (Plan, Cost, bool) {
-	r0, err := newRun(l, ref)
-	if err != nil {
-		return Plan{}, Cost{}, false
-	}
-	r := &planRun{run: r0}
-	if maxOps <= 0 {
-		maxOps = 1000 * l.Len()
-	}
-	for !r.done() {
-		var candidates []int
-		for _, c := range l.Concepts() {
-			if !r.fullyLabeled(c.ID) {
-				candidates = append(candidates, c.ID)
-			}
-		}
-		if len(candidates) == 0 {
-			break
-		}
-		r.visit(candidates[rng.Intn(len(candidates))])
-		if r.cost.Total() > maxOps {
-			return r.plan, r.cost, false
-		}
-	}
 	return r.plan, r.cost, true
 }

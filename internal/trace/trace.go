@@ -49,10 +49,9 @@ func (t Trace) Key() string {
 }
 
 // AppendKey appends the bytes of t.Key() to dst and returns the extended
-// slice. Identical traces append equal bytes. Hot paths that dedup per
-// identical-event class (e.g. fa.Sim.ExecutedAll) reuse one buffer across
-// calls and look classes up with string(buf), which the compiler optimizes
-// to an allocation-free map access.
+// slice. Identical traces append equal bytes. Set.Add dedups per
+// identical-event class this way, looking classes up with string(buf),
+// which the compiler optimizes to an allocation-free map access.
 func (t Trace) AppendKey(dst []byte) []byte {
 	for i, e := range t.Events {
 		if i > 0 {
@@ -65,29 +64,6 @@ func (t Trace) AppendKey(dst []byte) []byte {
 
 // String renders the trace as its key (IDs are provenance, not content).
 func (t Trace) String() string { return t.Key() }
-
-// Equal reports whether two traces have identical event sequences.
-func (t Trace) Equal(u Trace) bool {
-	if len(t.Events) != len(u.Events) {
-		return false
-	}
-	for i := range t.Events {
-		if !t.Events[i].Equal(u.Events[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// Mentions reports whether any event in the trace mentions the variable name.
-func (t Trace) Mentions(name string) bool {
-	for _, e := range t.Events {
-		if e.Mentions(name) {
-			return true
-		}
-	}
-	return false
-}
 
 // Names returns the sorted distinct variable names mentioned by the trace.
 func (t Trace) Names() []string {
@@ -102,37 +78,6 @@ func (t Trace) Names() []string {
 		out = append(out, n)
 	}
 	sortStrings(out)
-	return out
-}
-
-// Ops returns the operation name of each event, in order.
-func (t Trace) Ops() []string {
-	out := make([]string, len(t.Events))
-	for i, e := range t.Events {
-		out[i] = e.Op
-	}
-	return out
-}
-
-// Rename returns a copy of the trace with every event renamed through subst.
-func (t Trace) Rename(subst map[string]string) Trace {
-	out := Trace{ID: t.ID, Events: make([]event.Event, len(t.Events))}
-	for i, e := range t.Events {
-		out.Events[i] = e.Rename(subst)
-	}
-	return out
-}
-
-// Project returns the subtrace of events mentioning the given name. Events
-// not mentioning it are dropped. This is the trace-side counterpart of the
-// name-projection Focus template (Section 4.1).
-func (t Trace) Project(name string) Trace {
-	out := Trace{ID: t.ID}
-	for _, e := range t.Events {
-		if e.Mentions(name) {
-			out.Events = append(out.Events, e)
-		}
-	}
 	return out
 }
 

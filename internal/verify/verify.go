@@ -13,7 +13,6 @@ import (
 	"fmt"
 
 	"repro/internal/fa"
-	"repro/internal/mine"
 	"repro/internal/trace"
 )
 
@@ -37,16 +36,13 @@ func (v Violation) String() string {
 }
 
 // Checker binds a specification to its compiled simulation plan once, so
-// callers that check in a loop — cabled's stream path checks a session's
-// reference FA against every open stream — never pay recompilation. The
-// package-level Check/CheckSet/Partition remain as one-shot conveniences
-// built on it.
+// callers that check in a loop never pay recompilation. The package-level
+// CheckSet is the one-shot convenience built on it.
 //
 // A Checker is safe for concurrent use: the compiled plan is immutable
 // and shared.
 type Checker struct {
-	spec *fa.FA
-	sim  *fa.Sim
+	sim *fa.Sim
 }
 
 // NewChecker compiles the specification once and returns the reusable
@@ -55,26 +51,7 @@ type Checker struct {
 // call, and even cached lookups repeat interner work per invocation —
 // the Checker pins the plan unconditionally.
 func NewChecker(spec *fa.FA) *Checker {
-	return &Checker{spec: spec, sim: spec.Sim()}
-}
-
-// Spec returns the specification the checker was compiled from.
-func (c *Checker) Spec() *fa.FA { return c.spec }
-
-// Sim exposes the pinned plan so online checkers (internal/stream) can
-// share it.
-func (c *Checker) Sim() *fa.Sim { return c.sim }
-
-// Check simulates each trace against the specification and returns the
-// violations in input order.
-func (c *Checker) Check(traces []trace.Trace) []Violation {
-	var out []Violation
-	for _, t := range traces {
-		if at := c.sim.RejectsAt(t); at >= 0 {
-			out = append(out, Violation{Trace: t, At: at})
-		}
-	}
-	return out
+	return &Checker{sim: spec.Sim()}
 }
 
 // CheckSet checks every trace of a set and returns the violating traces
@@ -99,48 +76,8 @@ func (c *Checker) CheckSet(set *trace.Set) (*trace.Set, []Violation) {
 	return vset, violations
 }
 
-// Partition splits a set into the traces the specification accepts and
-// the traces it rejects, preserving multiplicities. Each class is
-// simulated once.
-func (c *Checker) Partition(set *trace.Set) (accepted, rejected *trace.Set) {
-	accepted, rejected = &trace.Set{}, &trace.Set{}
-	for _, cl := range set.Classes() {
-		dst := accepted
-		if !c.sim.Accepts(cl.Rep) {
-			dst = rejected
-		}
-		for j := 0; j < cl.Count; j++ {
-			t := cl.Rep
-			t.ID = cl.IDs[j]
-			dst.Add(t)
-		}
-	}
-	return accepted, rejected
-}
-
-// Check simulates each trace against the specification and returns the
-// violations in input order. The specification is compiled once (fa.Sim)
-// and the plan reused across all traces.
-func Check(spec *fa.FA, traces []trace.Trace) []Violation {
-	return NewChecker(spec).Check(traces)
-}
-
 // CheckSet checks every trace of a set (duplicates included) and returns
 // the violating traces as a set alongside the per-class violations.
 func CheckSet(spec *fa.FA, set *trace.Set) (*trace.Set, []Violation) {
 	return NewChecker(spec).CheckSet(set)
-}
-
-// CheckRuns extracts scenarios from whole-program runs with the front end
-// and checks each against the specification — the "test a specification
-// against a program" workflow of Section 2.1.
-func CheckRuns(spec *fa.FA, fe mine.FrontEnd, runs []mine.Run) (*trace.Set, []Violation) {
-	return CheckSet(spec, fe.ExtractAll(runs))
-}
-
-// Partition splits a set into the traces the specification accepts and the
-// traces it rejects, preserving multiplicities. Debugging sessions use it
-// to separate violations from conforming scenarios.
-func Partition(spec *fa.FA, set *trace.Set) (accepted, rejected *trace.Set) {
-	return NewChecker(spec).Partition(set)
 }

@@ -33,7 +33,7 @@ func TestCheck(t *testing.T) {
 		tr("pclose", "X = popen()", "pclose(X)"),
 		tr("leak", "X = fopen()", "fread(X)"),
 	}
-	vs := Check(spec, traces)
+	_, vs := CheckSet(spec, trace.NewSet(traces...))
 	if len(vs) != 2 {
 		t.Fatalf("got %d violations, want 2", len(vs))
 	}
@@ -62,10 +62,6 @@ func TestCheckSetAndPartition(t *testing.T) {
 	if vset.Total() != 2 || vset.NumClasses() != 1 || len(vs) != 2 {
 		t.Fatalf("vset Total=%d Classes=%d len(vs)=%d", vset.Total(), vset.NumClasses(), len(vs))
 	}
-	acc, rej := Partition(spec, set)
-	if acc.Total() != 1 || rej.Total() != 2 {
-		t.Fatalf("Partition: acc=%d rej=%d", acc.Total(), rej.Total())
-	}
 }
 
 func TestCheckRuns(t *testing.T) {
@@ -80,7 +76,7 @@ func TestCheckRuns(t *testing.T) {
 		},
 	}}
 	fe := mine.FrontEnd{Seeds: []string{"fopen", "popen"}}
-	vset, vs := CheckRuns(spec, fe, runs)
+	vset, vs := CheckSet(spec, fe.ExtractAll(runs))
 	if vset.Total() != 1 || len(vs) != 1 {
 		t.Fatalf("got %d violations", len(vs))
 	}
@@ -90,7 +86,7 @@ func TestCheckRuns(t *testing.T) {
 }
 
 func TestCheckEmpty(t *testing.T) {
-	if vs := Check(buggyStdio(), nil); vs != nil {
+	if _, vs := CheckSet(buggyStdio(), &trace.Set{}); vs != nil {
 		t.Errorf("violations on empty input: %v", vs)
 	}
 }

@@ -41,11 +41,11 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("classes %d -> %d", s.NumTraces(), got.NumTraces())
 	}
 	for i := 0; i < s.NumTraces(); i++ {
-		if must(got.Trace(i)).Key() != must(s.Trace(i)).Key() {
+		if got.Representatives()[i].Key() != s.Representatives()[i].Key() {
 			t.Errorf("trace %d changed", i)
 		}
-		if must(got.LabelOf(i)) != must(s.LabelOf(i)) {
-			t.Errorf("label %d: %q -> %q", i, must(s.LabelOf(i)), must(got.LabelOf(i)))
+		if got.Labels()[i] != s.Labels()[i] {
+			t.Errorf("label %d: %q -> %q", i, s.Labels()[i], got.Labels()[i])
 		}
 		if must(got.Multiplicity(i)) != must(s.Multiplicity(i)) {
 			t.Errorf("multiplicity %d changed", i)
